@@ -4,7 +4,7 @@
 //!
 //! * **D1** — no `HashMap`/`HashSet` *iteration* in result-producing crates.
 //!   Hash iteration order is seeded per process, so a single `.iter()` on a
-//!   result path silently breaks the bit-determinism the three backends and
+//!   result path silently breaks the bit-determinism the two backends and
 //!   every shard count are oracled against. Lookups (`get`/`insert`/
 //!   `contains`) are fine; iteration must go through a `BTreeMap`, a sorted
 //!   projection (`rld_common::collections::sorted_pairs`), or carry a waiver.

@@ -1,4 +1,4 @@
-//! The dataplane sweep: all four strategies on both tuple-level backends.
+//! The dataplane sweep: all four strategies on the columnar executor.
 //!
 //! ```text
 //! cargo run -p rld-bench --release --bin dataplane            # full sweep
@@ -8,35 +8,30 @@
 //! ```
 //!
 //! Where every other runtime bench models execution on the discrete-tick
-//! simulator, this one pushes *real tuple batches* through both executors
-//! for ROD / DYN / RLD / HYB on the Q1 stock workload: the row dataplane
-//! (`ThreadedExecutor`, one worker thread per node, envelopes over
-//! channels) and the columnar dataplane (`ColumnarExecutor`,
-//! struct-of-arrays batches through fused operator chains over SPSC rings).
-//! Both replay identical policy decisions per seed, so the throughput
-//! ratio — reported per strategy as `speedup` — isolates the data-plane
-//! representation. Results land in `BENCH_dataplane.json`.
+//! simulator, this one pushes *real tuple batches* through the columnar
+//! dataplane (`ColumnarExecutor`: struct-of-arrays batches through fused
+//! operator chains over SPSC rings) for ROD / DYN / RLD / HYB on the Q1
+//! stock workload, and reports tuples per wall second, latency
+//! percentiles, and the per-stage timing breakdown. Results land in
+//! `BENCH_dataplane.json`.
 //!
 //! `--quick` shortens the horizon and asserts the healthy-scenario
-//! invariants (every strategy processes every tuple on both backends),
-//! making the binary a CI smoke test for the whole tuple-level dataplane.
+//! invariants (every strategy processes tuples and loses none), making the
+//! binary a CI smoke test for the whole tuple-level dataplane.
 //!
 //! `--shards N` pins the columnar executor's shard count (`0` or absent =
 //! one shard per available core). An explicit shard count writes its JSON
 //! to `BENCH_dataplane-shardsN.json` so side-by-side runs don't clobber
-//! each other. The per-run JSON includes the columnar backend's stage
-//! timing breakdown (generate / route / dispatch / evaluate / fold /
-//! window milliseconds).
+//! each other. The per-run JSON includes the stage timing breakdown
+//! (generate / route / dispatch / evaluate / fold / window milliseconds).
 //!
 //! `--check` is the perf regression gate: after the sweep it compares each
-//! strategy's tuples/s on both backends *and* the sweep's minimum columnar
-//! speedup against the committed `BENCH_baseline.json`, and exits non-zero
-//! if any throughput fell more than 20% (the speedup ratio: 35%, see
-//! [`SPEEDUP_TOLERANCE`]) below the baseline. A missing or
-//! mode-mismatched baseline is a loud failure, not a skip — but a baseline
-//! recorded at a *different effective shard count* skips the throughput
-//! comparison (the numbers are not comparable; the quick-mode invariants
-//! still gate correctness).
+//! strategy's tuples/s against the committed `BENCH_baseline.json` and
+//! exits non-zero if any fell more than 20% below the baseline. A missing
+//! or mode-mismatched baseline is a loud failure, not a skip — but a
+//! baseline recorded at a *different effective shard count* skips the
+//! throughput comparison (the numbers are not comparable; the quick-mode
+//! invariants still gate correctness).
 
 use rld_bench::json::{metrics_json, write_bench_json, BenchMeta, Json};
 use rld_bench::print_table;
@@ -46,12 +41,6 @@ use rld_core::prelude::*;
 const BASELINE_PATH: &str = "BENCH_baseline.json";
 /// Largest tolerated relative tuples/s drop before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 0.20;
-/// Tolerance for the minimum columnar-over-row speedup. A speedup is a
-/// ratio of two independently noisy throughputs, so its run-to-run spread
-/// compounds: both ends at their 20% tolerance edges shift the ratio by
-/// `1 - 0.8/1.2 ≈ 33%`. Anything past that is a structural regression
-/// (e.g. a kernel falling back to the row path), not noise.
-const SPEEDUP_TOLERANCE: f64 = 0.35;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,159 +63,119 @@ fn main() {
 
     let query = Query::q1_stock_monitoring();
     let scenario = Scenario::builder("dataplane-q1", query)
-        .describe("Q1 stock workload on the row and columnar executors, all four strategies")
+        .describe("Q1 stock workload on the columnar executor, all four strategies")
         .homogeneous_cluster(4, 3.0)
         // 5x the estimated stream rates: fat batches are the regime the
-        // columnar dataplane is built for, and the row executor must keep up
-        // with the identical arrival sequence.
+        // columnar dataplane is built for.
         .workload(StockWorkload::new(60.0, RatePattern::Constant(5.0)))
         .duration_secs(duration)
         .default_strategies(RldConfig::default().with_uncertainty(3))
         .build()
         .expect("scenario");
     println!(
-        "dataplane — {} on {} nodes, {:.0} s virtual, row vs columnar backends\n",
+        "dataplane — {} on {} nodes, {:.0} s virtual, columnar backend\n",
         scenario.query().name,
         scenario.cluster().num_nodes(),
         duration,
     );
 
-    let exec_config = ExecConfig::from_sim(*scenario.sim_config());
-    let row_exec = ThreadedExecutor::new(
-        scenario.query().clone(),
-        scenario.cluster().clone(),
-        exec_config,
-    )
-    .expect("row executor");
-    let col_config = ColumnarConfig {
+    let config = ColumnarConfig {
         shards: shards.unwrap_or(0),
-        ..ColumnarConfig::from_exec(exec_config)
+        ..ColumnarConfig::from_sim(*scenario.sim_config())
     };
-    let shards_effective = col_config.effective_shards();
+    let shards_effective = config.effective_shards();
     println!(
         "columnar shards: {} ({})\n",
         shards_effective,
         if shards.is_some() { "pinned" } else { "auto" },
     );
-    let col_exec = ColumnarExecutor::new(
-        scenario.query().clone(),
-        scenario.cluster().clone(),
-        col_config,
-    )
-    .expect("columnar executor");
+    let exec = ColumnarExecutor::new(scenario.query().clone(), scenario.cluster().clone(), config)
+        .expect("columnar executor");
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut docs: Vec<Json> = Vec::new();
     let mut names: Vec<String> = Vec::new();
-    let mut min_speedup = f64::INFINITY;
     for spec in scenario.strategies() {
-        let build = || {
-            spec.build(scenario.query(), scenario.cluster())
-                .expect("strategy deploys on the comfortable cluster")
-        };
-        let mut strategy = build();
-        let row = row_exec
-            .run_report(scenario.workload(), strategy.as_mut(), false)
-            .expect("row executor run");
-        let mut strategy = build();
-        let col = col_exec
+        let mut strategy = spec
+            .build(scenario.query(), scenario.cluster())
+            .expect("strategy deploys on the comfortable cluster");
+        let report = exec
             .run_report(scenario.workload(), strategy.as_mut(), false)
             .expect("columnar executor run");
-
-        let name = row.metrics.system.clone();
-        // The backends share one policy core: same arrivals per seed, and a
-        // healthy run loses nothing anywhere.
-        assert_eq!(
-            row.metrics.tuples_arrived, col.metrics.tuples_arrived,
-            "{name}: backends disagree on arrivals"
-        );
+        let m = &report.metrics;
+        let name = m.system.clone();
         if quick {
-            for (backend, m) in [("row", &row.metrics), ("columnar", &col.metrics)] {
-                assert!(
-                    m.tuples_processed > 0,
-                    "{name}/{backend}: the healthy dataplane must process tuples"
-                );
-                assert_eq!(
-                    m.tuples_lost, 0,
-                    "{name}/{backend}: the healthy dataplane must lose nothing"
-                );
-            }
+            assert!(
+                m.tuples_processed > 0,
+                "{name}: the healthy dataplane must process tuples"
+            );
+            assert_eq!(
+                m.tuples_lost, 0,
+                "{name}: the healthy dataplane must lose nothing"
+            );
         }
 
-        let speedup = col.tuples_per_sec / row.tuples_per_sec;
-        min_speedup = min_speedup.min(speedup);
-        let p = |r: &ExecReport, i: usize| r.latency_percentiles_ms[i].1;
+        let p = |i: usize| report.latency_percentiles_ms[i].1;
         rows.push(vec![
             name.clone(),
-            format!("{:.0}", row.tuples_per_sec),
-            format!("{:.0}", col.tuples_per_sec),
-            format!("{speedup:.1}x"),
-            format!("{:.2}", p(&row, 0)),
-            format!("{:.2}", p(&row, 2)),
-            row.metrics.migrations.to_string(),
-            row.metrics.plan_switches.to_string(),
+            format!("{:.0}", report.tuples_per_sec),
+            format!("{:.2}", p(0)),
+            format!("{:.2}", p(2)),
+            m.migrations.to_string(),
+            m.plan_switches.to_string(),
         ]);
-        let backend_json = |r: &ExecReport| {
-            let stages = r
-                .stage_timings
-                .as_ref()
-                .map(|s| {
-                    let per_shard =
-                        |v: &[f64]| Json::Arr(v.iter().map(|&ms| Json::Num(ms)).collect());
-                    Json::obj([
-                        ("generate_ms", Json::Num(s.generate_ms)),
-                        ("route_ms", Json::Num(s.route_ms)),
-                        ("dispatch_ms", Json::Num(s.dispatch_ms)),
-                        ("evaluate_ms", Json::Num(s.evaluate_ms)),
-                        ("fold_ms", Json::Num(s.fold_ms)),
-                        ("window_ms", Json::Num(s.window_ms)),
-                        ("shard_busy_ms", per_shard(&s.shard_busy_ms)),
-                        ("shard_idle_ms", per_shard(&s.shard_idle_ms)),
-                        ("max_shard_skew_ms", Json::Num(s.max_shard_skew_ms)),
-                    ])
-                })
-                .unwrap_or(Json::Null);
-            Json::obj([
-                ("tuples_per_sec", Json::Num(r.tuples_per_sec)),
-                ("wall_secs", Json::Num(r.wall_secs)),
-                ("p50_latency_ms", Json::Num(p(r, 0))),
-                ("p95_latency_ms", Json::Num(p(r, 1))),
-                ("p99_latency_ms", Json::Num(p(r, 2))),
-                ("migration_pause_ms", Json::Num(r.migration_pause_ms)),
-                ("stage_timings", stages),
-                ("metrics", metrics_json(&r.metrics)),
-            ])
-        };
+        let stages = report
+            .stage_timings
+            .as_ref()
+            .map(|s| {
+                let per_shard = |v: &[f64]| Json::Arr(v.iter().map(|&ms| Json::Num(ms)).collect());
+                Json::obj([
+                    ("generate_ms", Json::Num(s.generate_ms)),
+                    ("route_ms", Json::Num(s.route_ms)),
+                    ("dispatch_ms", Json::Num(s.dispatch_ms)),
+                    ("evaluate_ms", Json::Num(s.evaluate_ms)),
+                    ("fold_ms", Json::Num(s.fold_ms)),
+                    ("window_ms", Json::Num(s.window_ms)),
+                    ("shard_busy_ms", per_shard(&s.shard_busy_ms)),
+                    ("shard_idle_ms", per_shard(&s.shard_idle_ms)),
+                    ("max_shard_skew_ms", Json::Num(s.max_shard_skew_ms)),
+                ])
+            })
+            .unwrap_or(Json::Null);
+        let columnar = Json::obj([
+            ("tuples_per_sec", Json::Num(report.tuples_per_sec)),
+            ("wall_secs", Json::Num(report.wall_secs)),
+            ("p50_latency_ms", Json::Num(p(0))),
+            ("p95_latency_ms", Json::Num(p(1))),
+            ("p99_latency_ms", Json::Num(p(2))),
+            ("migration_pause_ms", Json::Num(report.migration_pause_ms)),
+            ("stage_timings", stages),
+            ("metrics", metrics_json(m)),
+        ]);
         names.push(name.clone());
         docs.push(Json::obj([
             ("system", Json::str(&name)),
-            ("row", backend_json(&row)),
-            ("columnar", backend_json(&col)),
-            ("speedup", Json::Num(speedup)),
+            ("columnar", columnar),
         ]));
     }
 
     print_table(
-        "Dataplane — real tuples, row vs columnar executors",
-        &[
-            "system", "row t/s", "col t/s", "speedup", "p50 ms", "p99 ms", "migr", "switches",
-        ],
+        "Dataplane — real tuples, columnar executor",
+        &["system", "tuples/s", "p50 ms", "p99 ms", "migr", "switches"],
         &rows,
     );
-    println!("\nminimum columnar speedup over the row dataplane: {min_speedup:.1}x");
 
     let data = Json::obj([
         ("quick", Json::Bool(quick)),
         ("duration_secs", Json::Num(duration)),
         ("shards_requested", Json::uint(shards.unwrap_or(0) as u64)),
         ("shards_effective", Json::uint(shards_effective as u64)),
-        ("min_speedup", Json::Num(min_speedup)),
         ("runs", Json::Arr(docs)),
     ]);
     let meta = BenchMeta::new()
         .seed(scenario.sim_config().seed)
         .scenario("dataplane-q1")
-        .backend("execute-row+columnar")
+        .backend(Backend::ExecuteColumnar.name())
         .strategies(names);
     let artifact = match shards {
         Some(n) => format!("dataplane-shards{n}"),
@@ -242,9 +191,8 @@ fn main() {
     }
 }
 
-/// The regression gate: compare this run's tuples/s per strategy and
-/// backend — plus the sweep's minimum columnar speedup — against the
-/// committed baseline; tolerate up to [`REGRESSION_TOLERANCE`] relative
+/// The regression gate: compare this run's tuples/s per strategy against
+/// the committed baseline; tolerate up to [`REGRESSION_TOLERANCE`] relative
 /// slowdown, exit non-zero beyond it. When the baseline was recorded at a
 /// different effective shard count the throughput numbers are not
 /// comparable and the gate reports a skip instead.
@@ -297,9 +245,8 @@ fn check_against_baseline(current: &Json) {
             .map(<[Json]>::to_vec)
             .unwrap_or_default()
     };
-    let tuples_per_sec = |run: &Json, backend: &str| -> Option<f64> {
-        run.get(backend)?.get("tuples_per_sec")?.as_f64()
-    };
+    let tuples_per_sec =
+        |run: &Json| -> Option<f64> { run.get("columnar")?.get("tuples_per_sec")?.as_f64() };
 
     let current_runs = runs_of(current);
     let mut regressions = Vec::new();
@@ -315,27 +262,21 @@ fn check_against_baseline(current: &Json) {
             regressions.push(format!("{system}: in the baseline but not in this run"));
             continue;
         };
-        for backend in ["row", "columnar"] {
-            let (Some(base), Some(cur)) = (
-                tuples_per_sec(&base_run, backend),
-                tuples_per_sec(cur_run, backend),
-            ) else {
-                regressions.push(format!("{system}/{backend}: missing tuples_per_sec"));
-                continue;
-            };
-            compared += 1;
-            let floor = base * (1.0 - REGRESSION_TOLERANCE);
-            let verdict = if cur < floor { "REGRESSION" } else { "ok" };
-            println!(
-                "check {system}/{backend}: {cur:.0} vs baseline {base:.0} tuples/s \
-                 (floor {floor:.0}) — {verdict}"
-            );
-            if cur < floor {
-                regressions.push(format!(
-                    "{system}/{backend}: {cur:.0} tuples/s is {:.0}% below the baseline {base:.0}",
-                    (1.0 - cur / base) * 100.0
-                ));
-            }
+        let (Some(base), Some(cur)) = (tuples_per_sec(&base_run), tuples_per_sec(cur_run)) else {
+            regressions.push(format!("{system}: missing tuples_per_sec"));
+            continue;
+        };
+        compared += 1;
+        let floor = base * (1.0 - REGRESSION_TOLERANCE);
+        let verdict = if cur < floor { "REGRESSION" } else { "ok" };
+        println!(
+            "check {system}: {cur:.0} vs baseline {base:.0} tuples/s (floor {floor:.0}) — {verdict}"
+        );
+        if cur < floor {
+            regressions.push(format!(
+                "{system}: {cur:.0} tuples/s is {:.0}% below the baseline {base:.0}",
+                (1.0 - cur / base) * 100.0
+            ));
         }
     }
 
@@ -344,29 +285,6 @@ fn check_against_baseline(current: &Json) {
         std::process::exit(2);
     }
 
-    // The columnar dataplane must also keep its *relative* advantage: gate
-    // the sweep's minimum columnar-over-row speedup with the same tolerance.
-    let min_of = |doc: &Json| doc.get("min_speedup").and_then(Json::as_f64);
-    match (min_of(base_data), min_of(current)) {
-        (Some(base), Some(cur)) => {
-            compared += 1;
-            let floor = base * (1.0 - SPEEDUP_TOLERANCE);
-            let verdict = if cur < floor { "REGRESSION" } else { "ok" };
-            println!(
-                "check min_speedup: {cur:.2}x vs baseline {base:.2}x (floor {floor:.2}x) \
-                 — {verdict}"
-            );
-            if cur < floor {
-                regressions.push(format!(
-                    "min_speedup: {cur:.2}x is below the {floor:.2}x floor \
-                     (baseline {base:.2}x)"
-                ));
-            }
-        }
-        _ => {
-            regressions.push("min_speedup: missing from the baseline or this run".to_string());
-        }
-    }
     if regressions.is_empty() {
         println!(
             "regression gate: all {compared} throughput numbers within {:.0}% of baseline",
@@ -377,14 +295,14 @@ fn check_against_baseline(current: &Json) {
         for r in &regressions {
             eprintln!("  - {r}");
         }
-        eprintln!("stage breakdown of this run (percent of backend wall):");
+        eprintln!("stage breakdown of this run (percent of wall):");
         print_stage_breakdown(current);
         std::process::exit(1);
     }
 }
 
 /// On gate failure, print where the wall time went: each recorded stage as
-/// a percentage of its backend's wall clock, so a throughput regression is
+/// a percentage of the run's wall clock, so a throughput regression is
 /// attributable to a stage without re-running anything.
 fn print_stage_breakdown(current: &Json) {
     const STAGES: [&str; 6] = [
@@ -400,37 +318,35 @@ fn print_stage_breakdown(current: &Json) {
     };
     for run in runs {
         let system = run.get("system").and_then(Json::as_str).unwrap_or("?");
-        for backend in ["row", "columnar"] {
-            let Some(doc) = run.get(backend) else {
-                continue;
-            };
-            let Some(wall) = doc.get("wall_secs").and_then(Json::as_f64) else {
-                continue;
-            };
-            let wall_ms = wall * 1000.0;
-            let Some(stages) = doc.get("stage_timings") else {
-                continue;
-            };
-            if wall_ms <= 0.0 || matches!(stages, Json::Null) {
-                continue;
-            }
-            let parts: Vec<String> = STAGES
-                .iter()
-                .filter_map(|name| {
-                    let ms = stages.get(name)?.as_f64()?;
-                    Some(format!(
-                        "{} {:.0}% ({ms:.0}ms)",
-                        name.trim_end_matches("_ms"),
-                        ms / wall_ms * 100.0
-                    ))
-                })
-                .collect();
-            let skew = stages
-                .get("max_shard_skew_ms")
-                .and_then(Json::as_f64)
-                .map(|ms| format!(", max shard skew {ms:.1}ms"))
-                .unwrap_or_default();
-            eprintln!("  {system}/{backend}: {}{skew}", parts.join(", "));
+        let Some(doc) = run.get("columnar") else {
+            continue;
+        };
+        let Some(wall) = doc.get("wall_secs").and_then(Json::as_f64) else {
+            continue;
+        };
+        let wall_ms = wall * 1000.0;
+        let Some(stages) = doc.get("stage_timings") else {
+            continue;
+        };
+        if wall_ms <= 0.0 || matches!(stages, Json::Null) {
+            continue;
         }
+        let parts: Vec<String> = STAGES
+            .iter()
+            .filter_map(|name| {
+                let ms = stages.get(name)?.as_f64()?;
+                Some(format!(
+                    "{} {:.0}% ({ms:.0}ms)",
+                    name.trim_end_matches("_ms"),
+                    ms / wall_ms * 100.0
+                ))
+            })
+            .collect();
+        let skew = stages
+            .get("max_shard_skew_ms")
+            .and_then(Json::as_f64)
+            .map(|ms| format!(", max shard skew {ms:.1}ms"))
+            .unwrap_or_default();
+        eprintln!("  {system}: {}{skew}", parts.join(", "));
     }
 }

@@ -473,7 +473,7 @@ pub struct BenchMeta {
     pub seed: Option<u64>,
     /// The scenario (or sweep) the artifact belongs to.
     pub scenario: Option<String>,
-    /// The execution backend (`"simulate"` / `"execute"`).
+    /// The execution backend (`"simulate"` / `"execute-columnar"`).
     pub backend: Option<String>,
     /// Short names of the strategies compared, in run order.
     pub strategies: Vec<String>,
@@ -635,13 +635,13 @@ mod tests {
         let meta = BenchMeta::new()
             .seed(7)
             .scenario("q1-stock")
-            .backend("execute")
+            .backend("execute-columnar")
             .strategies(["ROD", "RLD"]);
         let text = meta.to_json().to_string();
         assert!(text.contains(&format!(r#""version":"{}""#, env!("CARGO_PKG_VERSION"))));
         assert!(text.contains(r#""seed":7"#));
         assert!(text.contains(r#""scenario":"q1-stock""#));
-        assert!(text.contains(r#""backend":"execute""#));
+        assert!(text.contains(r#""backend":"execute-columnar""#));
         assert!(text.contains(r#""strategies":["ROD","RLD"]"#));
         // Unset fields emit as null, never silently dropped.
         let empty = BenchMeta::new().to_json().to_string();

@@ -6,7 +6,7 @@
 //! in different orders and — through float summation order, first-match
 //! tie-breaks, or Vec push order — produce different traces. That would break
 //! the repo's headline bit-determinism property (same seed ⇒ identical
-//! `RunTrace` across all three backends).
+//! `RunTrace` across both backends).
 //!
 //! Hash maps are still fine as *lookup* structures. When a result path does
 //! need to walk one, project it through [`sorted_pairs`] (or switch the field

@@ -396,9 +396,8 @@ impl CompiledOp {
     /// Deliver one partner-stream batch *if* this operator windows that
     /// stream: insert the tuples, then evict entries older than the window
     /// at `now_ms`. Returns whether the delivery applied. This is the one
-    /// place the match-and-insert-and-expire convention lives — both
-    /// [`CompiledQuery::observe_partner`] and the threaded executor's
-    /// partner loop go through it.
+    /// place the match-and-insert-and-expire convention lives —
+    /// [`CompiledQuery::observe_partner`] goes through it.
     pub fn deliver_partner(&mut self, stream: StreamId, batch: &Batch, now_ms: u64) -> bool {
         if self.partner_stream() != Some(stream) {
             return false;
@@ -502,9 +501,9 @@ impl CompiledOp {
     }
 }
 
-/// All compiled operators of one query, for single-threaded execution of any
-/// logical plan (the threaded executor shards the same [`CompiledOp`]s
-/// across workers instead).
+/// All compiled operators of one query, for tuple-at-a-time execution of
+/// any logical plan — the reference the columnar kernels are checked
+/// against.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     ops: Vec<CompiledOp>,

@@ -25,7 +25,7 @@ use rld_common::{NodeId, Query, Result, RldError};
 use rld_engine::{
     DistributionStrategy, FaultPlan, RecoverySemantic, RunMetrics, SimConfig, Simulator,
 };
-use rld_exec::{ColumnarConfig, ColumnarExecutor, ExecConfig, ThreadedExecutor};
+use rld_exec::{ColumnarConfig, ColumnarExecutor};
 use rld_physical::Cluster;
 use rld_query::{CostModel, JoinOrderOptimizer, Optimizer};
 use rld_workloads::{RatePattern, SelectivityPattern, StockWorkload, SyntheticWorkload, Workload};
@@ -46,22 +46,17 @@ pub enum Backend {
     /// scalar, queueing is modelled, runs are bit-deterministic per seed.
     #[default]
     Simulate,
-    /// The threaded executor (`rld-exec`): real tuples through real operator
-    /// state on one worker thread per node; latencies are wall-clock.
-    Execute,
-    /// The columnar executor (`rld-exec`): the same policy loop over a
-    /// vectorized dataplane — struct-of-arrays batches, fused operator
-    /// chains, SPSC-ring shard workers.
+    /// The columnar executor (`rld-exec`): the same policy loop over real
+    /// tuples — struct-of-arrays batches, fused operator chains, SPSC-ring
+    /// shard workers; latencies are wall-clock.
     ExecuteColumnar,
 }
 
 impl Backend {
-    /// The backend's short name (`"simulate"` / `"execute"` /
-    /// `"execute-columnar"`).
+    /// The backend's short name (`"simulate"` / `"execute-columnar"`).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Simulate => "simulate",
-            Backend::Execute => "execute",
             Backend::ExecuteColumnar => "execute-columnar",
         }
     }
@@ -70,10 +65,9 @@ impl Backend {
     pub fn by_name(name: &str) -> Result<Self> {
         match name {
             "simulate" | "sim" => Ok(Backend::Simulate),
-            "execute" | "exec" => Ok(Backend::Execute),
             "execute-columnar" | "columnar" | "col" => Ok(Backend::ExecuteColumnar),
             other => Err(RldError::NotFound(format!(
-                "backend '{other}' (known: simulate, execute, execute-columnar)"
+                "backend '{other}' (known: simulate, execute-columnar)"
             ))),
         }
     }
@@ -195,7 +189,8 @@ pub struct StrategyOutcome {
 pub struct ScenarioReport {
     /// The scenario's name.
     pub scenario: String,
-    /// The backend the strategies ran on (`"simulate"` / `"execute"`).
+    /// The backend the strategies ran on (`"simulate"` /
+    /// `"execute-columnar"`).
     pub backend: String,
     /// One outcome per configured strategy, in configuration order.
     pub outcomes: Vec<StrategyOutcome>,
@@ -297,28 +292,19 @@ impl Scenario {
     }
 
     /// Like [`Self::run`], on an explicit execution backend: the simulator
-    /// models the run at tick granularity, the threaded executor pushes real
-    /// tuple batches through per-node worker threads. Everything else — the
+    /// models the run at tick granularity, the columnar executor pushes real
+    /// tuple batches through fused operator chains. Everything else — the
     /// compile, the strategies, the workload timeline, the fault plan, the
     /// seed — is identical.
     pub fn run_on(&self, backend: Backend) -> Result<ScenarioReport> {
         enum Runner {
             Sim(Simulator),
-            Exec(ThreadedExecutor),
             Columnar(ColumnarExecutor),
         }
         let runner = match backend {
             Backend::Simulate => Runner::Sim(
                 Simulator::new(self.query.clone(), self.cluster.clone(), self.sim)?
                     .with_faults(self.faults.clone())?,
-            ),
-            Backend::Execute => Runner::Exec(
-                ThreadedExecutor::new(
-                    self.query.clone(),
-                    self.cluster.clone(),
-                    ExecConfig::from_sim(self.sim),
-                )?
-                .with_faults(self.faults.clone())?,
             ),
             Backend::ExecuteColumnar => Runner::Columnar(
                 ColumnarExecutor::new(
@@ -359,9 +345,6 @@ impl Scenario {
                 Ok(mut strategy) => {
                     let metrics = match &runner {
                         Runner::Sim(sim) => sim.run(self.workload.as_ref(), strategy.as_mut())?,
-                        Runner::Exec(exec) => {
-                            exec.run(self.workload.as_ref(), strategy.as_mut())?
-                        }
                         Runner::Columnar(exec) => {
                             exec.run(self.workload.as_ref(), strategy.as_mut())?
                         }
@@ -849,41 +832,9 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_run_unchanged_on_the_execute_backend() {
-        let q = Query::q1_stock_monitoring();
-        let scenario = Scenario::builder("exec-smoke", q)
-            .homogeneous_cluster(4, 3.0)
-            .workload(StockWorkload::default_config())
-            .duration_secs(20.0)
-            .strategy(StrategySpec::Rod)
-            .strategy(StrategySpec::Dyn {
-                rebalance_period_secs: 5.0,
-            })
-            .build()
-            .unwrap();
-        let report = scenario.run_on(Backend::Execute).unwrap();
-        assert_eq!(report.backend, "execute");
-        assert_eq!(report.outcomes.len(), 2);
-        let rod = report.metrics_for("ROD").expect("ROD ran on the executor");
-        assert!(rod.tuples_arrived > 0);
-        assert_eq!(rod.tuples_processed, rod.tuples_arrived);
-        assert_eq!(rod.tuples_lost, 0);
-        // The simulator report of the same scenario has the same arrivals
-        // (same seed, same arrival process) on the default backend.
-        let sim_report = scenario.run().unwrap();
-        assert_eq!(sim_report.backend, "simulate");
-        assert_eq!(
-            sim_report.metrics_for("ROD").unwrap().tuples_arrived,
-            rod.tuples_arrived
-        );
-    }
-
-    #[test]
     fn backend_lookup_by_name() {
         assert_eq!(Backend::by_name("simulate").unwrap(), Backend::Simulate);
         assert_eq!(Backend::by_name("sim").unwrap(), Backend::Simulate);
-        assert_eq!(Backend::by_name("execute").unwrap(), Backend::Execute);
-        assert_eq!(Backend::by_name("exec").unwrap(), Backend::Execute);
         assert_eq!(
             Backend::by_name("execute-columnar").unwrap(),
             Backend::ExecuteColumnar
@@ -894,8 +845,8 @@ mod tests {
         );
         assert_eq!(Backend::by_name("col").unwrap(), Backend::ExecuteColumnar);
         assert!(Backend::by_name("quantum").is_err());
+        assert!(Backend::by_name("execute").is_err());
         assert_eq!(Backend::default(), Backend::Simulate);
-        assert_eq!(Backend::Execute.name(), "execute");
         assert_eq!(Backend::ExecuteColumnar.name(), "execute-columnar");
     }
 
@@ -907,10 +858,14 @@ mod tests {
             .workload(StockWorkload::default_config())
             .duration_secs(20.0)
             .strategy(StrategySpec::Rod)
+            .strategy(StrategySpec::Dyn {
+                rebalance_period_secs: 5.0,
+            })
             .build()
             .unwrap();
         let report = scenario.run_on(Backend::ExecuteColumnar).unwrap();
         assert_eq!(report.backend, "execute-columnar");
+        assert_eq!(report.outcomes.len(), 2);
         let rod = report.metrics_for("ROD").expect("ROD ran columnar");
         assert!(rod.tuples_arrived > 0);
         assert_eq!(rod.tuples_processed, rod.tuples_arrived);

@@ -39,7 +39,7 @@
 //!   plan routing, work accounting, drain).
 //! * [`runtime::RuntimeCore`] — the backend-neutral control plane (strategy
 //!   dispatch, monitoring, fault cursor, metrics assembly) shared between
-//!   this simulator and the threaded executor in `rld-exec`.
+//!   this simulator and the columnar executor in `rld-exec`.
 //! * [`simulator::Simulator`] — the tick loop driving a strategy.
 //! * [`metrics::RunMetrics`] — the measurements reported by every run.
 

@@ -2,8 +2,8 @@
 //!
 //! Two execution backends drive the same policy machinery: the discrete-tick
 //! [`crate::simulator::Simulator`] (work is an abstract scalar, queueing is
-//! modelled) and the threaded executor in `rld-exec` (real tuples flow
-//! through real operator state on worker threads). Everything that *defines
+//! modelled) and the columnar executor in `rld-exec` (real tuples flow
+//! through real operator state on shard workers). Everything that *defines
 //! the runtime's behaviour* — as opposed to how work is costed — lives here,
 //! so the two backends can never diverge on policy:
 //!
@@ -17,9 +17,9 @@
 //! * [`MetricsAccumulator`] → [`RunMetrics`] assembly.
 //!
 //! A backend owns only what is genuinely backend-specific — the simulator
-//! its [`crate::node::SimNode`] queue model, the executor its worker threads
-//! and channels — and reports those totals through [`BackendTotals`] when it
-//! asks the core to [`finish`](RuntimeCore::finish) the run.
+//! its [`crate::node::SimNode`] queue model, the columnar executor its shard
+//! workers and rings — and reports those totals through [`BackendTotals`]
+//! when it asks the core to [`finish`](RuntimeCore::finish) the run.
 //!
 //! With [`RuntimeCore::with_trace`] the core additionally records every
 //! per-batch routing decision and every migration, so tests can assert that
@@ -73,7 +73,7 @@ pub struct RunTrace {
 /// The backend-specific totals a backend reports when finishing a run: how
 /// much work was done and how busy the nodes were, in whatever unit the
 /// backend measures work (abstract cost units for the simulator, wall
-/// milliseconds of busy time for the threaded executor).
+/// milliseconds of busy time for the columnar executor).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BackendTotals {
     /// Driving tuples fully processed within the horizon (after any crash
@@ -290,12 +290,6 @@ impl RuntimeCore {
     pub fn note_dropped_batch(&mut self, n_tuples: u64) {
         self.reroutes += 1;
         self.tuples_lost += n_tuples as f64;
-    }
-
-    /// Account tuples lost outside the drop path (e.g. discarded by a
-    /// worker that was down when the envelope arrived).
-    pub fn note_lost(&mut self, tuples: f64) {
-        self.tuples_lost += tuples;
     }
 
     /// Record migration decisions into the trace (the backend charges their

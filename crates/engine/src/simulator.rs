@@ -131,8 +131,8 @@ impl Simulator {
     }
 
     /// Like [`Self::run`], additionally recording every routing and
-    /// migration decision — the cross-backend agreement oracle (the threaded
-    /// executor's trace must match this one for fault-free runs).
+    /// migration decision — the cross-backend agreement oracle (the columnar
+    /// executor's trace must match this one, fault-free and faulted).
     pub fn run_traced(
         &self,
         workload: &dyn Workload,

@@ -1,16 +1,12 @@
 //! The columnar execution backend: a batch-at-a-time dataplane driven by the
-//! exact same [`RuntimeCore`] policy loop as the simulator and the row
-//! executor.
+//! exact same [`RuntimeCore`] policy loop as the simulator.
 //!
 //! ## Design
 //!
-//! The row executor ships every driving batch through per-node worker
-//! threads that lock each operator's state, clone tuples per join match, and
-//! hop batches over `sync_channel`s. This backend keeps the *policy* loop
-//! bit-identical (same `RuntimeCore` call order, same RNG draws, same
-//! `RunTrace`) but replaces the dataplane under it with a shard-parallel
-//! pipeline in which the coordinator only routes, dispatches, and folds
-//! counters — it never touches a tuple:
+//! The policy loop is bit-identical to the simulator's (same `RuntimeCore`
+//! call order, same RNG draws, same `RunTrace`); under it runs a
+//! shard-parallel pipeline in which the coordinator only routes, dispatches,
+//! and folds counters — it never touches a tuple:
 //!
 //! * **Generation-in-shards.** Driving arrivals are generated *inside* the
 //!   shard workers from [`ShardedDrivingGen`]'s per-(tick, row) splitmix64
@@ -57,7 +53,7 @@
 //!
 //! The coordinator folds a tick's evaluation replies back before recording
 //! its batch, and a tick's maintenance snapshots before dispatching its
-//! evaluation — the pipeline is deeper than the old barrier chain but every
+//! evaluation — the pipeline is deeper than a barrier chain but every
 //! ordering the runtime core observes is unchanged. Combined with snapshot
 //! probing — every row of a batch probes the window contents *as of its
 //! ingest tick* — this makes arrived / processed / lost / produced counts
@@ -65,22 +61,35 @@
 //! per shard count**, even under faults and even with
 //! [`MonitorSource::Observed`]; only wall-clock-derived fields (latencies,
 //! busy/overhead milliseconds, utilization, stage timings) vary run to run.
-//! The row executor can't promise that much: its workers race the virtual
-//! clock, so its `produced` counts depend on when a worker happens to lock
-//! a window. The differential oracle in `tests/tests/columnar_oracle.rs`
-//! pins down exactly the shared deterministic surface.
+//! The differential oracle in `tests/tests/columnar_oracle.rs` pins down
+//! the surface shared with the simulator.
 //!
-//! Fault semantics under this model: a crash under `Lost` recovery clears
-//! the window partitions of operators placed on the crashed node — every
-//! shard drops exactly the victim's partitions at the top of the tick, same
-//! observable effect as the row path — and tuples are lost **at ingest**: a
-//! batch routed through a down node is dropped by the coordinator before
-//! dispatch. There are no in-flight envelopes to bounce or park, so
-//! `arrived == processed + lost` holds exactly, and `Replay` differs from
-//! `Lost` only in preserving window state across the outage. A degraded
-//! node affects routing and capacity accounting; shard workers are not
-//! artificially slowed (they are compute shards, not the logical nodes the
-//! fault plane models).
+//! ## Fault semantics
+//!
+//! The fault plan is applied on the virtual timeline at tick granularity,
+//! exactly as the simulator applies it:
+//!
+//! * **Crash.** Tuples are lost **at ingest**: a batch routed through a down
+//!   node is dropped by the coordinator before dispatch. A tick's batch is
+//!   fully evaluated before the next one is recorded, so there is no
+//!   in-flight backlog to drop or park and `arrived == processed + lost`
+//!   holds exactly. (Backlog loss — `Lost` dropping the work queued at the
+//!   victim, `Replay` keeping it — is modelled by the simulator, whose
+//!   nodes carry backlogs.)
+//! * **Recovery semantic.** Under `Lost`, a crash clears the window
+//!   partitions of operators placed on the crashed node: every shard drops
+//!   exactly the victim's partitions at the top of the tick, before that
+//!   tick's partner inserts. Under `Replay` the windows survive the outage.
+//!   Routing ignores the semantic, so the two differ only in window state
+//!   and hence in what later batches produce.
+//! * **Degrade.** A degraded node affects routing and capacity accounting;
+//!   shard workers are not artificially slowed (they are compute shards,
+//!   not the logical nodes the fault plane models). The simulator models a
+//!   straggler's latency cost.
+//! * **Migration.** Each move is charged a *modelled* pause —
+//!   [`ColumnarConfig::pause_fixed_ms`] plus
+//!   [`ColumnarConfig::pause_ms_per_kb`] per KiB of operator state — as
+//!   overhead; no shard sleeps.
 
 // The one module allowed to contain `unsafe` in the whole workspace: the
 // crate root denies it, every other crate forbids it, and `rld-analysis`
@@ -91,7 +100,6 @@ mod ring;
 
 pub use ring::{ring, Consumer, Producer};
 
-use crate::executor::{ExecConfig, ExecReport, MonitorSource, StageTimings};
 use rld_common::exec::CompiledOp;
 use rld_common::rng::derive_seed;
 use rld_common::{
@@ -100,46 +108,64 @@ use rld_common::{
 };
 use rld_engine::{
     BackendTotals, DistributionStrategy, FaultKind, FaultPlan, RecoverySemantic, RunMetrics,
-    RunTrace, RuntimeCore,
+    RunTrace, RuntimeCore, SimConfig,
 };
-use rld_physical::{Cluster, ClusterView, PhysicalPlan};
+use rld_physical::{Cluster, ClusterView, MigrationDecision, PhysicalPlan};
 use rld_query::LogicalPlan;
 use rld_workloads::{MatchColumn, ShardedDrivingGen, ShardedPartnerGen, Workload};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of the columnar executor: the row executor's [`ExecConfig`]
-/// (shared experiment parameters, migration pause model, monitor source)
-/// plus the columnar dataplane's own knobs.
+/// Where the statistics monitor's samples come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MonitorSource {
+    /// The workload's ground truth — exactly what the simulator feeds its
+    /// monitor, so both backends make identical routing decisions per seed.
+    #[default]
+    Truth,
+    /// The selectivities the dataplane *actually observed* (per-operator
+    /// input/output counts), closing the monitor loop on real measurements.
+    /// Routing then follows the data and is no longer comparable against
+    /// the simulator (it stays deterministic per seed).
+    Observed,
+}
+
+/// Configuration of the columnar executor. The embedded [`SimConfig`]
+/// carries the shared experiment parameters (virtual tick, duration, monitor
+/// period/smoothing, seed); the rest is dataplane-specific.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnarConfig {
-    /// The shared executor parameters. `channel_capacity` and
-    /// `drain_timeout_secs` are row-dataplane knobs and are ignored here
-    /// (the columnar dataplane is tick-synchronous and has nothing to
-    /// drain).
-    pub exec: ExecConfig,
+    /// The shared experiment parameters (tick, duration, monitor, seed).
+    pub sim: SimConfig,
     /// Shard workers a tick's work fans out across. `0` = one per available
     /// CPU core (sanity ceiling 256). With one shard the executor runs the
     /// shard core inline — no threads, no rings.
     pub shards: usize,
-    /// Capacity of each SPSC task/reply ring, in tasks.
-    pub ring_capacity: usize,
+    /// Modelled migration pause per operator move, in milliseconds.
+    pub pause_fixed_ms: f64,
+    /// Additional modelled migration pause per KiB of operator state, in
+    /// milliseconds.
+    pub pause_ms_per_kb: f64,
+    /// Where the statistics monitor samples from.
+    pub monitor: MonitorSource,
 }
 
-impl ColumnarConfig {
-    /// Columnar defaults around a row-executor configuration.
-    pub fn from_exec(exec: ExecConfig) -> Self {
-        Self {
-            exec,
-            shards: 0,
-            ring_capacity: 4,
-        }
-    }
+/// Capacity of each SPSC task/reply ring, in tasks. At most two tasks (one
+/// evaluation, one maintenance) and their two replies are in flight per
+/// shard, so the rings never fill.
+const RING_CAPACITY: usize = 4;
 
+impl ColumnarConfig {
     /// Columnar defaults around the shared experiment parameters.
-    pub fn from_sim(sim: rld_engine::SimConfig) -> Self {
-        Self::from_exec(ExecConfig::from_sim(sim))
+    pub fn from_sim(sim: SimConfig) -> Self {
+        Self {
+            sim,
+            shards: 0,
+            pause_fixed_ms: 1.0,
+            pause_ms_per_kb: 0.01,
+            monitor: MonitorSource::Truth,
+        }
     }
 
     /// The shard count after resolving `0 = auto` (the machine's available
@@ -155,12 +181,13 @@ impl ColumnarConfig {
         }
     }
 
-    /// Validate the columnar-specific parameters.
+    /// Validate the dataplane-specific parameters ([`ColumnarExecutor::new`]
+    /// validates the embedded sim config separately).
     pub fn validate(&self) -> Result<()> {
-        self.exec.validate()?;
-        if self.ring_capacity == 0 {
+        let finite_non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        if !finite_non_negative(self.pause_fixed_ms) || !finite_non_negative(self.pause_ms_per_kb) {
             return Err(RldError::InvalidArgument(
-                "ring capacity must be positive".into(),
+                "migration pauses must be finite and non-negative".into(),
             ));
         }
         if self.shards > 256 {
@@ -175,8 +202,67 @@ impl ColumnarConfig {
 
 impl Default for ColumnarConfig {
     fn default() -> Self {
-        Self::from_exec(ExecConfig::default())
+        Self::from_sim(SimConfig::default())
     }
+}
+
+/// Everything one columnar run measured, beyond the backend-neutral
+/// [`RunMetrics`].
+#[derive(Debug, Clone)]
+pub struct ExecReport {
+    /// The backend-neutral metrics (latencies in *wall* milliseconds; work
+    /// counters in wall milliseconds of shard busy time and modelled
+    /// pause plus routing overhead).
+    pub metrics: RunMetrics,
+    /// The policy-decision trace, when tracing was requested.
+    pub trace: Option<RunTrace>,
+    /// Wall-clock duration of the whole run.
+    pub wall_secs: f64,
+    /// Driving tuples fully processed per wall second.
+    pub tuples_per_sec: f64,
+    /// Tuple-weighted wall-latency percentiles as `(percentile, ms)` for
+    /// p50 / p95 / p99.
+    pub latency_percentiles_ms: Vec<(f64, f64)>,
+    /// Total migration pause, in milliseconds — modelled from
+    /// [`ColumnarConfig::pause_fixed_ms`] and
+    /// [`ColumnarConfig::pause_ms_per_kb`] and charged as overhead, not
+    /// measured (no shard sleeps for a state transfer).
+    pub migration_pause_ms: f64,
+    /// The statistics the dataplane actually observed (per-operator
+    /// selectivities from real input/output counts, rates from the truth).
+    pub observed_stats: StatsSnapshot,
+    /// Per-stage wall-clock breakdown of the coordinator loop; always
+    /// `Some` in a report from [`ColumnarExecutor::run_report`].
+    pub stage_timings: Option<StageTimings>,
+}
+
+/// Wall-clock milliseconds the columnar coordinator spent in each stage of
+/// its tick pipeline, summed over the run. `generate`, `evaluate`, and
+/// `window` are summed across shards (they run in parallel), so they can
+/// exceed `wall_secs`; `route`, `dispatch`, and `fold` are coordinator-serial.
+/// The per-shard vectors expose imbalance the stage totals hide.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct StageTimings {
+    /// Building driving `ColumnBatch` slices inside shards.
+    pub generate_ms: f64,
+    /// Routing decisions (strategy + core bookkeeping).
+    pub route_ms: f64,
+    /// Constructing shard tasks (chain compile, match plan, task setup).
+    pub dispatch_ms: f64,
+    /// Fused-chain evaluation inside shards.
+    pub evaluate_ms: f64,
+    /// Collecting shard replies and folding counters/snapshots.
+    pub fold_ms: f64,
+    /// Partitioned sliding-window maintenance inside shards.
+    pub window_ms: f64,
+    /// Per-shard busy milliseconds (generate + evaluate + window),
+    /// indexed by shard.
+    pub shard_busy_ms: Vec<f64>,
+    /// Per-shard idle milliseconds (`wall - busy`), indexed by shard.
+    pub shard_idle_ms: Vec<f64>,
+    /// Largest per-round busy-time spread (max − min across shards) seen
+    /// over the run, in milliseconds. Zero with a single shard.
+    pub max_shard_skew_ms: f64,
 }
 
 /// What the coordinator asks of a shard. Tick `t`'s work arrives as up to
@@ -444,7 +530,7 @@ fn run_shard(mut core: ShardCore, tasks: Consumer<ShardTask>, results: Producer<
 
 /// The columnar execution backend: shard workers (threaded over SPSC rings,
 /// or inline for a single shard) driven by the same [`RuntimeCore`] as the
-/// simulator and row executor.
+/// simulator.
 pub struct ColumnarExecutor {
     query: Query,
     cluster: Cluster,
@@ -456,7 +542,7 @@ impl ColumnarExecutor {
     /// Create a columnar executor for a query on a cluster (fault-free).
     pub fn new(query: Query, cluster: Cluster, config: ColumnarConfig) -> Result<Self> {
         config.validate()?;
-        config.exec.sim.validate()?;
+        config.sim.validate()?;
         query.validate()?;
         Ok(Self {
             query,
@@ -502,10 +588,9 @@ impl ColumnarExecutor {
         })
     }
 
-    /// The modelled wall-millisecond pause of a migration set — same model
-    /// as the row executor's `apply_migrations`, but charged as overhead
-    /// instead of sleeping a worker (there is no per-node worker to pause).
-    fn modelled_pause_ms(&self, decisions: &[rld_physical::MigrationDecision]) -> Result<f64> {
+    /// The modelled millisecond pause of a migration set, charged as
+    /// overhead (there is no per-node worker to pause).
+    fn modelled_pause_ms(&self, decisions: &[MigrationDecision]) -> Result<f64> {
         let mut total = 0.0;
         for d in decisions {
             if d.from.index() >= self.cluster.num_nodes()
@@ -519,19 +604,19 @@ impl ColumnarExecutor {
                     d.to
                 )));
             }
-            total += self.config.exec.pause_fixed_ms
-                + self.config.exec.pause_ms_per_kb * (d.state_bytes as f64 / 1024.0);
+            total += self.config.pause_fixed_ms
+                + self.config.pause_ms_per_kb * (d.state_bytes as f64 / 1024.0);
         }
         Ok(total)
     }
 
     /// Run one strategy and report everything measured.
     ///
-    /// The coordinator loop mirrors `ThreadedExecutor::run_report`'s
-    /// `RuntimeCore` call order *exactly* — fault events, observation,
-    /// strategy dispatch, arrival sampling, routing, ingest-drop accounting,
-    /// batch recording, node accounting — so per seed the two backends
-    /// replay identical `RunTrace`s. The tick pipeline only moves work the
+    /// The coordinator loop mirrors the simulator's `RuntimeCore` call order
+    /// *exactly* — fault events, observation, strategy dispatch, arrival
+    /// sampling, routing, ingest-drop accounting, batch recording, node
+    /// accounting — so per seed the two backends replay identical
+    /// `RunTrace`s. The tick pipeline only moves work the
     /// core never sees: window maintenance of tick *t* is dispatched at the
     /// end of iteration *t − 1* (overlapping observation, strategy, and
     /// routing), evaluation replies fold at the top of iteration *t + 1*
@@ -549,7 +634,7 @@ impl ColumnarExecutor {
         let mut core = RuntimeCore::new(
             self.query.clone(),
             num_nodes,
-            self.config.exec.sim,
+            self.config.sim,
             self.faults.clone(),
             strategy.name(),
         )?;
@@ -564,9 +649,9 @@ impl ColumnarExecutor {
             .query
             .operators
             .iter()
-            .map(|spec| CompiledOp::compile(&self.query, spec, self.config.exec.sim.seed))
+            .map(|spec| CompiledOp::compile(&self.query, spec, self.config.sim.seed))
             .collect();
-        let gen_seed = derive_seed(self.config.exec.sim.seed, strategy.name());
+        let gen_seed = derive_seed(self.config.sim.seed, strategy.name());
         // Coordinator-side twin of the shards' generator, used only to
         // compute the per-tick match-column plan (no draws).
         let plan_gen = ShardedDrivingGen::new(&self.query, gen_seed);
@@ -584,10 +669,10 @@ impl ColumnarExecutor {
         let mut result_rxs = Vec::new();
         if !inline {
             for _ in 0..shards {
-                let (tx, rx) = ring::<ShardTask>(self.config.ring_capacity);
+                let (tx, rx) = ring::<ShardTask>(RING_CAPACITY);
                 task_txs.push(tx);
                 task_rxs.push(rx);
-                let (tx, rx) = ring::<ShardReply>(self.config.ring_capacity);
+                let (tx, rx) = ring::<ShardReply>(RING_CAPACITY);
                 result_txs.push(tx);
                 result_rxs.push(rx);
             }
@@ -728,8 +813,8 @@ impl ColumnarExecutor {
                 Ok(())
             };
 
-            let dt = self.config.exec.sim.tick_secs;
-            let duration = self.config.exec.sim.duration_secs;
+            let dt = self.config.sim.tick_secs;
+            let duration = self.config.sim.duration_secs;
             let mut view = ClusterView::all_up(&self.cluster);
             let mut placement = Arc::new(strategy.physical().clone());
             let mut up = vec![true; num_nodes];
@@ -769,12 +854,12 @@ impl ColumnarExecutor {
             let mut chain_cache: Option<(Arc<LogicalPlan>, Arc<FusedChain>)> = None;
 
             // Advance the fault plane to `at` on the virtual timeline,
-            // exactly as in the simulator and the row executor. Crash notes
-            // are *counted*, not applied: the caller applies them after the
-            // in-flight batch records, so a crash never closes the previous
-            // tick's recovery window early. Lost-semantics crashes become a
-            // clear list the shards apply at the top of the next
-            // maintenance round, before partner inserts.
+            // exactly as in the simulator. Crash notes are *counted*, not
+            // applied: the caller applies them after the in-flight batch
+            // records, so a crash never closes the previous tick's recovery
+            // window early. Lost-semantics crashes become a clear list the
+            // shards apply at the top of the next maintenance round, before
+            // partner inserts.
             let advance_faults = |core: &mut RuntimeCore,
                                   at: f64,
                                   up: &mut [bool],
@@ -870,7 +955,7 @@ impl ColumnarExecutor {
                     }
                 }
 
-                match self.config.exec.monitor {
+                match self.config.monitor {
                     MonitorSource::Truth => core.observe(t, &truth),
                     MonitorSource::Observed => {
                         let observed = observed_snapshot(&ops, &truth);
@@ -1161,8 +1246,7 @@ fn observed_snapshot(ops: &[CompiledOp], truth: &StatsSnapshot) -> StatsSnapshot
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::ThreadedExecutor;
-    use rld_engine::{RodStrategy, SimConfig};
+    use rld_engine::RodStrategy;
     use rld_physical::RodPlanner;
     use rld_query::{CostModel, JoinOrderOptimizer, Optimizer};
     use rld_workloads::{RatePattern, StockWorkload};
@@ -1222,32 +1306,35 @@ mod tests {
     }
 
     #[test]
-    fn columnar_and_row_backends_replay_identical_run_traces() {
-        let q = Query::q1_stock_monitoring();
-        let cluster = Cluster::homogeneous(4, capacity_for(&q, 3.0)).unwrap();
-        let sim = SimConfig {
-            duration_secs: 45.0,
-            ..SimConfig::default()
-        };
-        let workload = StockWorkload::default_config();
-
-        let row =
-            ThreadedExecutor::new(q.clone(), cluster.clone(), ExecConfig::from_sim(sim)).unwrap();
-        let mut rod_row = rod_strategy(&q, &cluster);
-        let (row_metrics, row_trace) = row.run_traced(&workload, &mut rod_row).unwrap();
-
-        let col = ColumnarExecutor::new(q.clone(), cluster.clone(), ColumnarConfig::from_sim(sim))
+    fn filter_query_keeps_about_half_its_arrivals() {
+        // One 0.5-selectivity filter: about half the arrivals must come out.
+        let q = Query::builder("F1")
+            .stream(
+                "Driver",
+                rld_common::Schema::from_pairs(&[
+                    ("key", rld_common::DataType::Int),
+                    ("ts", rld_common::DataType::Timestamp),
+                ]),
+                100.0,
+            )
+            .filter("keep_half", 1.0, 0.5)
+            .build()
             .unwrap();
-        let mut rod_col = rod_strategy(&q, &cluster);
-        let (col_metrics, col_trace) = col.run_traced(&workload, &mut rod_col).unwrap();
-
-        assert_eq!(row_trace, col_trace, "identical routing per batch");
-        assert_eq!(row_metrics.tuples_arrived, col_metrics.tuples_arrived);
-        assert_eq!(row_metrics.batches, col_metrics.batches);
-        assert_eq!(row_metrics.migrations, col_metrics.migrations);
-        assert_eq!(row_metrics.plan_switches, col_metrics.plan_switches);
-        assert_eq!(row_metrics.tuples_processed, col_metrics.tuples_processed);
-        assert_eq!(col_metrics.tuples_lost, 0);
+        let cluster = Cluster::homogeneous(2, capacity_for(&q, 3.0)).unwrap();
+        let exec =
+            ColumnarExecutor::new(q.clone(), cluster.clone(), columnar_config(20.0, 1)).unwrap();
+        let workload = rld_workloads::SyntheticWorkload::steady(q.clone());
+        let mut rod = rod_strategy(&q, &cluster);
+        let m = exec.run(&workload, &mut rod).unwrap();
+        assert!(m.tuples_arrived > 1000);
+        assert_eq!(m.tuples_processed, m.tuples_arrived);
+        let ratio = m.tuples_produced as f64 / m.tuples_arrived as f64;
+        assert!(
+            (ratio - 0.5).abs() < 0.05,
+            "filter should keep ~half: {ratio} ({} of {})",
+            m.tuples_produced,
+            m.tuples_arrived
+        );
     }
 
     #[test]
@@ -1294,6 +1381,8 @@ mod tests {
         assert!(m.tuples_lost > 0, "{m:?}");
         assert!(m.reroutes > 0, "{m:?}");
         assert!(m.downtime_node_secs > 0.0);
+        assert!(m.capacity_available_fraction < 1.0, "{m:?}");
+        assert!(m.tuples_processed < m.tuples_arrived, "{m:?}");
         assert_eq!(
             m.tuples_processed + m.tuples_lost,
             m.tuples_arrived,
@@ -1307,22 +1396,20 @@ mod tests {
         assert!(ColumnarConfig::default().effective_shards() >= 1);
         assert!(ColumnarConfig::default().effective_shards() <= 256);
         let bad = ColumnarConfig {
-            ring_capacity: 0,
-            ..ColumnarConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ColumnarConfig {
             shards: 1000,
             ..ColumnarConfig::default()
         };
         assert!(bad.validate().is_err());
         let bad = ColumnarConfig {
-            exec: ExecConfig {
-                pause_fixed_ms: -1.0,
-                ..ExecConfig::default()
-            },
+            pause_ms_per_kb: f64::NAN,
             ..ColumnarConfig::default()
         };
+        assert!(bad.validate().is_err());
+        let bad = ColumnarConfig {
+            pause_fixed_ms: -1.0,
+            ..ColumnarConfig::default()
+        };
+        assert!(bad.validate().is_err());
         let q = Query::q1_stock_monitoring();
         let cluster = Cluster::homogeneous(2, 100.0).unwrap();
         assert!(ColumnarExecutor::new(q, cluster, bad).is_err());

@@ -1,10 +1,9 @@
 //! A lock-free single-producer/single-consumer ring buffer.
 //!
-//! This is the columnar dataplane's replacement for the row executor's
-//! `mpsc::sync_channel`: one bounded ring per (coordinator → shard) and
-//! (shard → coordinator) edge, each with exactly one producer and one
-//! consumer, so the fast path is two atomic loads, a slot write, and one
-//! release store — no mutex, no syscall, no allocation.
+//! The columnar dataplane's coordinator/shard channel: one bounded ring per
+//! (coordinator → shard) and (shard → coordinator) edge, each with exactly
+//! one producer and one consumer, so the fast path is two atomic loads, a
+//! slot write, and one release store — no mutex, no syscall, no allocation.
 //!
 //! The design is the classic Lamport queue: `head` and `tail` are
 //! monotonically increasing counters (indices modulo capacity pick the

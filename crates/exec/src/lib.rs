@@ -1,55 +1,36 @@
 //! # rld-exec
 //!
-//! The tuple-level execution backend: a threaded dataplane that runs the
+//! The tuple-level execution backend: a columnar dataplane that runs the
 //! same deployments the discrete-tick simulator models, on real tuples.
 //!
 //! Where `rld-engine`'s simulator treats "work" as an abstract scalar
-//! drained from per-node backlogs, [`executor::ThreadedExecutor`] spawns
-//! **one worker thread per cluster node**, pins each operator's executable
-//! state ([`rld_common::exec::CompiledOp`]) to the node the physical
-//! placement assigns it to, and streams [`rld_common::Batch`]es through
-//! bounded MPSC channels — a full channel *blocks the sender*, so overload
-//! shows up as genuine backpressure instead of a modelled queueing delay.
+//! drained from per-node backlogs, [`ColumnarExecutor`] generates real
+//! driving and partner tuples, evaluates every routed logical plan as a
+//! fused operator chain over struct-of-arrays
+//! [`rld_common::ColumnBatch`]es, and keeps real sliding-window state —
+//! sharded across cores via lock-free SPSC rings.
 //!
 //! Both backends are driven by the same backend-neutral
 //! [`rld_engine::RuntimeCore`]: strategy dispatch order, statistics
 //! monitoring, Poisson arrivals, plan routing and fault-plan application are
-//! literally the same code, so for a fault-free run with the same seed the
-//! executor makes **bit-identical policy decisions** (per-batch plan routing,
-//! DYN/HYB migrations) to the simulator — asserted by the cross-backend
-//! trace tests. What differs is what is *measured*: the executor reports
-//! wall-clock per-tuple latencies, real observed selectivities from operator
-//! input/output counts, and migration pause costs in actual milliseconds.
-//!
-//! The fault plane maps onto workers: `Crash` stops a worker consuming
-//! (dropping or parking in-flight envelopes per the plan's
-//! [`rld_engine::RecoverySemantic`] and clearing the node's window state
-//! under `Lost`), `Degrade { factor }` makes a worker genuinely slower by
-//! stretching its per-envelope processing time, and migrations pause the
-//! source and target workers proportionally to the operator's state size.
+//! literally the same code, so per seed the columnar executor makes
+//! **bit-identical policy decisions** (per-batch plan routing, DYN/HYB
+//! migrations) to the simulator — the differential oracle in
+//! `tests/tests/columnar_oracle.rs` asserts it, fault-free and faulted. What
+//! differs is what is *measured*: the executor reports wall-clock per-batch
+//! latencies, real observed selectivities from operator input/output
+//! counts, and a per-stage timing breakdown.
 //!
 //! Time is two-scaled: the *experiment timeline* (workload regimes, fault
 //! schedules, monitor sampling) advances in virtual ticks exactly as in the
-//! simulator, while *performance* (latency, throughput, pauses) is measured
-//! in wall time. The coordinator runs the virtual timeline as fast as the
-//! workers can drain it; the bounded ingest channel paces it to the real
-//! processing speed.
-//!
-//! A second, vectorized dataplane lives in [`columnar`]:
-//! [`columnar::ColumnarExecutor`] drives the identical `RuntimeCore` policy
-//! loop but executes batches as struct-of-arrays
-//! [`rld_common::ColumnBatch`]es through fused operator chains over
-//! selection vectors, sharded across cores via lock-free SPSC rings. Same
-//! decisions, same `RunTrace`s — roughly an order of magnitude more tuples
-//! per second.
+//! simulator, while *performance* (latency, throughput) is measured in wall
+//! time. The fault plane's semantics on this dataplane are stated once, in
+//! the [`columnar`] module doc.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod columnar;
-pub mod executor;
-mod worker;
 
-pub use columnar::{ColumnarConfig, ColumnarExecutor};
-pub use executor::{ExecConfig, ExecReport, MonitorSource, StageTimings, ThreadedExecutor};
+pub use columnar::{ColumnarConfig, ColumnarExecutor, ExecReport, MonitorSource, StageTimings};

@@ -17,9 +17,10 @@
 //!   ramp).
 //! * [`tuples::DataplaneGenerator`] — seeded generators of *actual* tuple
 //!   batches (stock ticks with symbols and random-walk prices, partner-stream
-//!   deliveries with window-join marks) for the threaded executor, following
-//!   the match-column convention of `rld_common::exec` so executed
-//!   selectivities track the workload's ground truth.
+//!   deliveries with window-join marks), following the match-column
+//!   convention of `rld_common::exec` so executed selectivities track the
+//!   workload's ground truth. It is the sequential reference the sharded
+//!   generators of the columnar dataplane are checked against.
 //!
 //! Every workload implements the [`Workload`] trait: given a simulated time
 //! it reports the ground-truth statistics (the values the statistic monitor

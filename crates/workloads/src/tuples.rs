@@ -1,7 +1,9 @@
 //! Seeded tuple-batch generators for the dataplane.
 //!
-//! The simulator only needs the workloads' *statistics*; the threaded
-//! executor needs the tuples themselves. [`DataplaneGenerator`] produces
+//! The simulator only needs the workloads' *statistics*; the columnar
+//! executor needs the tuples themselves, which its shards generate with
+//! [`ShardedDrivingGen`] and [`ShardedPartnerGen`]. [`DataplaneGenerator`]
+//! is their sequential reference: it produces
 //! genuine driving-stream batches (stock ticks, sensor readings — application
 //! fields are filled per the stream's schema, with symbols and random-walk
 //! prices for text/float columns) and partner-stream batches for the

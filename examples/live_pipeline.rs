@@ -10,9 +10,10 @@
 //!
 //! 1. on the **simulator** — work is an abstract scalar, latency is modelled
 //!    queueing + service time, and
-//! 2. on the **threaded executor** — one worker thread per cluster node,
-//!    operators evaluating real predicates / probing real windows over
-//!    generated stock-tick tuples, latency measured on the wall clock.
+//! 2. on the **columnar executor** — real predicates evaluated and real
+//!    windows probed over generated stock-tick tuples, as struct-of-arrays
+//!    batches through fused operator chains, latency measured on the wall
+//!    clock.
 //!
 //! Because both backends share the backend-neutral runtime core, the policy
 //! decisions are identical (same plan per batch, same switches); what
@@ -48,11 +49,11 @@ fn main() -> Result<()> {
     let mut rld = deployment.deploy();
     let simulated = simulator.run(&workload, &mut rld)?;
 
-    // Backend 2: the threaded executor — real tuples, real operator state.
-    let executor = ThreadedExecutor::new(
+    // Backend 2: the columnar executor — real tuples, real operator state.
+    let executor = ColumnarExecutor::new(
         query.clone(),
         cluster.clone(),
-        ExecConfig::from_sim(sim_config),
+        ColumnarConfig::from_sim(sim_config),
     )?;
     let mut rld = deployment.deploy();
     let report = executor.run_report(&workload, &mut rld, false)?;
@@ -67,7 +68,7 @@ fn main() -> Result<()> {
         simulated.avg_tuple_processing_ms
     );
     println!(
-        "execute    {:>7}  {:>8}  {:>9}  {:>8.2} ms (wall clock)",
+        "columnar   {:>7}  {:>8}  {:>9}  {:>8.2} ms (wall clock)",
         executed.batches,
         executed.plan_switches,
         executed.tuples_processed,

@@ -13,12 +13,11 @@
 //!   strategies via the scenario layer: determinism per seed, RLD's
 //!   no-migration guarantee, migration-count bounds for DYN/HYB, and
 //!   monotone produced-tuple timelines for every strategy.
-//! * `dataplane.rs` — cross-backend policy agreement between the simulator
-//!   and the threaded (row) executor.
-//! * `columnar_oracle.rs` — the differential-testing oracle pitting the
-//!   columnar backend against the row executor and the simulator.
-//! * `fault_plane.rs` — fault-plane invariants on the simulator *and* the
-//!   executors' crash/replay/degrade semantics.
+//! * `columnar_oracle.rs` — the differential-testing oracle: policy
+//!   agreement between the simulator and the columnar backend, fault-free
+//!   and faulted, plus columnar determinism across runs and shard counts.
+//! * `fault_plane.rs` — fault-plane invariants and the crash/replay/degrade
+//!   semantics, each on the backend that models it.
 //! * `percentiles.rs` — the `ExecReport` percentile math against a naive
 //!   sort-and-expand oracle.
 //! * `logical_physical_properties.rs` — property-based invariants of the

@@ -2,8 +2,10 @@
 //! failover asymmetry between the adaptive (DYN, HYB) and static (RLD, ROD)
 //! strategies, and the available-capacity bound on utilization under
 //! arbitrary fault plans — all through the scenario layer — plus the
-//! threaded executor's recovery semantics (Lost clears window state,
-//! Replay parks and re-delivers, Degrade slows without dropping).
+//! recovery semantics each backend models: on the columnar executor a
+//! `Lost` crash wipes window state and `Replay` keeps it; on the simulator
+//! a `Lost` crash drops the victim's queued backlog, `Replay` keeps it, and
+//! a degraded node slows down without dropping anything.
 
 use proptest::prelude::*;
 use rld_core::prelude::*;
@@ -113,9 +115,9 @@ fn straggler_scenario_degrades_without_crashing() {
 }
 
 // ---------------------------------------------------------------------------
-// Executor-side recovery semantics: the same FaultPlan vocabulary the
-// simulator models must hold on the threaded dataplane, where windows,
-// channels and parked envelopes are real.
+// Recovery semantics on the backend that models each one: window state on
+// the columnar executor, queued backlog and straggler latency on the
+// simulator.
 // ---------------------------------------------------------------------------
 
 /// A minimal window-join query whose production collapses to zero exactly
@@ -133,7 +135,7 @@ fn window_probe_query() -> Query {
         .unwrap()
 }
 
-/// Lost vs Replay on the threaded executor, isolated to window state: the
+/// Lost vs Replay on the columnar executor, isolated to window state: the
 /// partner stream fills the join window *before* the crash and goes silent;
 /// the driving stream only speaks *after* recovery. Under `Lost` the crash
 /// wipes the window, so the late driving tuples find nothing to join —
@@ -149,11 +151,11 @@ fn executor_lost_clears_window_state_and_replay_preserves_it() {
         .rate_steps(StreamId::new(0), vec![(0.0, 0.0), (28.0, 300.0)]);
 
     let run = |semantic: RecoverySemantic| {
-        let config = ExecConfig::from_sim(SimConfig {
+        let config = ColumnarConfig::from_sim(SimConfig {
             duration_secs: 40.0,
             ..SimConfig::default()
         });
-        let exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config)
+        let exec = ColumnarExecutor::new(query.clone(), cluster.clone(), config)
             .unwrap()
             .with_faults(FaultPlan::node_crash(NodeId::new(0), 20.0, 25.0, semantic).unwrap())
             .unwrap();
@@ -171,6 +173,7 @@ fn executor_lost_clears_window_state_and_replay_preserves_it() {
     assert_eq!(lost.tuples_lost, 0, "{lost:?}");
     assert_eq!(replay.tuples_lost, 0, "{replay:?}");
     assert_eq!(lost.fault_events, 2);
+    assert_eq!(replay.fault_events, 2);
     // ...but only the preserved window can still answer the late probes.
     assert_eq!(
         lost.tuples_produced, 0,
@@ -183,141 +186,99 @@ fn executor_lost_clears_window_state_and_replay_preserves_it() {
 }
 
 /// The node hosting the plan's *first* operator — the one every ingested
-/// envelope must pass through, making it the right victim for straggler
-/// and backlog experiments.
+/// batch must pass through, making it the right victim for straggler and
+/// backlog experiments.
 fn entry_node(query: &Query, cluster: &Cluster) -> NodeId {
     let mut rod = deploy_rod(query, &query.default_stats(), cluster).unwrap();
     let plan = rod.plan_for_batch(&query.default_stats()).unwrap();
     rod.physical().node_of(plan.ordering()[0]).unwrap()
 }
 
-/// Replay vs Lost for in-flight envelopes. The construction pins a backlog
-/// in the victim's inbox at the crash instant: the node is degraded so
-/// hard that each envelope takes ~1 s of stretched wall time, and the
-/// driving stream speaks for exactly eight ticks right before the crash —
-/// so the worker is still busy with the early envelopes when the crash
-/// lands, with the rest queued behind them. `Lost` drops the queued
-/// backlog; `Replay` parks it and re-delivers it after recovery, so
-/// everything completes and nothing is lost.
-#[test]
-fn executor_replay_parks_and_redelivers_the_victims_backlog() {
-    let query = window_probe_query();
-    let cluster = Cluster::homogeneous(1, runtime_capacity(&query, 1, 3.0)).unwrap();
-    let victim = entry_node(&query, &cluster);
-    let workload = PiecewiseWorkload::new("pre-crash-burst", query.clone())
-        // Eight ticks of driving traffic immediately before the crash —
-        // everything else is partner traffic that keeps the join window
-        // (and hence the per-envelope eval cost) non-trivial without making
-        // the post-recovery drain exceed the executor's drain timeout.
-        .rate_steps(
-            StreamId::new(0),
-            vec![(0.0, 0.0), (6.0, 4000.0), (14.0, 0.0)],
-        )
-        .rate_steps(StreamId::new(1), vec![(0.0, 500.0)]);
+/// ROD on the simulator for Q1 at 4x the estimated rates, under `faults`.
+fn simulate_rod_q1_at_4x(duration_secs: f64, faults: FaultPlan) -> RunMetrics {
+    let query = q1();
+    let cluster = test_cluster(&query);
+    let workload = StockWorkload::new(20.0, RatePattern::Constant(4.0));
+    let config = SimConfig {
+        duration_secs,
+        ..SimConfig::default()
+    };
+    let sim = Simulator::new(query.clone(), cluster.clone(), config)
+        .unwrap()
+        .with_faults(faults)
+        .unwrap();
+    let mut rod = deploy_rod(&query, &query.default_stats(), &cluster).unwrap();
+    sim.run(&workload, &mut rod).unwrap()
+}
 
+/// Lost vs Replay for the victim's queued backlog. The entry node is
+/// degraded 200x from 5 s on and crashes at 20 s (recovering at 30 s,
+/// still degraded), so work is queued there at the crash instant. `Lost` discards that backlog (and the tuples it carried) on top
+/// of the batches dropped at ingest during the outage; `Replay` keeps it
+/// and drains it after recovery, so it loses only the ingest-level drops.
+#[test]
+fn lost_drops_the_victims_backlog_and_replay_keeps_it() {
+    let victim = entry_node(&q1(), &test_cluster(&q1()));
     let run = |semantic: RecoverySemantic| {
         let events = vec![
             FaultEvent {
-                at_secs: 1.0,
+                at_secs: 5.0,
                 node: victim,
-                kind: FaultKind::Degrade { factor: 0.001 },
+                kind: FaultKind::Degrade { factor: 0.005 },
             },
-            // The outage must be long in *wall* terms: only an envelope
-            // *received while the node is down* exercises the park-vs-drop
-            // branch, and the degraded worker sleeps through its stretch
-            // (clamped at 1 s) before its next receive. While the worker
-            // sleeps the coordinator sprints — an idle tick costs well under
-            // a millisecond — so the outage spans thousands of virtual
-            // seconds to guarantee a wall length that dwarfs one stretch.
             FaultEvent {
-                at_secs: 14.0,
+                at_secs: 20.0,
                 node: victim,
                 kind: FaultKind::Crash,
             },
             FaultEvent {
-                at_secs: 30014.0,
+                at_secs: 30.0,
                 node: victim,
                 kind: FaultKind::Recover,
             },
-            // Full speed again right after recovery so parked envelopes
-            // drain quickly (a node recovers at whatever degradation
-            // factor it last had).
-            FaultEvent {
-                at_secs: 30015.0,
-                node: victim,
-                kind: FaultKind::Restore,
-            },
         ];
-        let config = ExecConfig::from_sim(SimConfig {
-            duration_secs: 30030.0,
-            ..SimConfig::default()
-        });
-        let exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config)
-            .unwrap()
-            .with_faults(FaultPlan::new(events, semantic).unwrap())
-            .unwrap();
-        let mut rod = deploy_rod(&query, &query.default_stats(), &cluster).unwrap();
-        exec.run(&workload, &mut rod).unwrap()
+        simulate_rod_q1_at_4x(120.0, FaultPlan::new(events, semantic).unwrap())
     };
 
     let lost = run(RecoverySemantic::Lost);
     let replay = run(RecoverySemantic::Replay);
 
-    // Policy decisions are seed-deterministic, so both runs ingest the same
-    // eight envelopes (no driving traffic overlaps the outage, so nothing
-    // is dropped at ingest) — the only difference is the fate of the
-    // backlog queued at the victim when it died.
+    // Routing ignores the semantic: the same batches arrive and the same
+    // ones are dropped at ingest during the outage...
     assert_eq!(lost.tuples_arrived, replay.tuples_arrived);
-    assert!(lost.tuples_arrived > 3000, "{lost:?}");
-    assert_eq!(lost.batches, 8, "{lost:?}");
-    assert_eq!(lost.fault_events, 4, "{lost:?}");
+    assert_eq!(lost.reroutes, replay.reroutes);
+    assert!(lost.reroutes > 0, "{lost:?}");
+    assert_eq!(lost.fault_events, 3, "{lost:?}");
+    assert!(replay.tuples_lost > 0, "ingest-level drops: {replay:?}");
+    // ...but only `Lost` also discards the backlog queued at the victim.
     assert!(
-        lost.tuples_lost > 0,
-        "Lost must drop the envelope queued at the dead node: {lost:?}"
-    );
-    assert_eq!(
-        replay.tuples_lost, 0,
-        "Replay must park and re-deliver it: {replay:?}"
-    );
-    assert_eq!(replay.tuples_processed, replay.tuples_arrived, "{replay:?}");
-    assert_eq!(
-        lost.tuples_processed + lost.tuples_lost,
-        lost.tuples_arrived,
-        "{lost:?}"
+        lost.tuples_lost > replay.tuples_lost,
+        "Lost must drop the victim's backlog: lost {} vs replay {}",
+        lost.tuples_lost,
+        replay.tuples_lost
     );
     assert!(
         replay.tuples_processed > lost.tuples_processed,
-        "re-delivered envelopes must complete: replay {} vs lost {}",
+        "the kept backlog must complete: replay {} vs lost {}",
         replay.tuples_processed,
         lost.tuples_processed
     );
+    // Work still queued at the horizon is neither processed nor lost.
+    for m in [&lost, &replay] {
+        assert!(
+            m.tuples_processed + m.tuples_lost <= m.tuples_arrived,
+            "{m:?}"
+        );
+    }
 }
 
-/// A degraded worker is a straggler, not a failure: every tuple still
-/// completes (nothing lost, nothing rerouted, no downtime) — the cost is
-/// latency, which the degradation stretch makes visibly worse than the
-/// fault-free run.
+/// A degraded node is a straggler, not a failure: nothing is lost, nothing
+/// rerouted, no downtime — the cost is latency, which the degradation makes
+/// visibly worse than the fault-free run.
 #[test]
-fn executor_degraded_workers_slow_down_but_drop_nothing() {
-    let query = q1();
-    let cluster = test_cluster(&query);
-    let workload = StockWorkload::new(20.0, RatePattern::Constant(4.0));
-    let victim = entry_node(&query, &cluster);
-
-    let run = |faults: Option<FaultPlan>| {
-        let config = ExecConfig::from_sim(SimConfig {
-            duration_secs: 35.0,
-            ..SimConfig::default()
-        });
-        let mut exec = ThreadedExecutor::new(query.clone(), cluster.clone(), config).unwrap();
-        if let Some(plan) = faults {
-            exec = exec.with_faults(plan).unwrap();
-        }
-        let mut rod = deploy_rod(&query, &query.default_stats(), &cluster).unwrap();
-        exec.run(&workload, &mut rod).unwrap()
-    };
-
-    let healthy = run(None);
+fn degraded_nodes_slow_down_but_drop_nothing() {
+    let victim = entry_node(&q1(), &test_cluster(&q1()));
+    let healthy = simulate_rod_q1_at_4x(35.0, FaultPlan::none());
     let events = vec![
         FaultEvent {
             at_secs: 5.0,
@@ -330,24 +291,20 @@ fn executor_degraded_workers_slow_down_but_drop_nothing() {
             kind: FaultKind::Restore,
         },
     ];
-    let degraded = run(Some(
+    let degraded = simulate_rod_q1_at_4x(
+        35.0,
         FaultPlan::new(events, RecoverySemantic::Lost).unwrap(),
-    ));
+    );
 
     assert_eq!(degraded.fault_events, 2, "{degraded:?}");
     assert_eq!(degraded.tuples_arrived, healthy.tuples_arrived);
     // Nothing is dropped: a straggler is not a crash.
     assert_eq!(degraded.tuples_lost, 0, "{degraded:?}");
-    assert_eq!(
-        degraded.tuples_processed, degraded.tuples_arrived,
-        "{degraded:?}"
-    );
     assert_eq!(degraded.reroutes, 0, "{degraded:?}");
     assert_eq!(degraded.downtime_node_secs, 0.0, "{degraded:?}");
     assert!(degraded.capacity_available_fraction < 1.0, "{degraded:?}");
-    // The 20× stretch on one pipeline node dominates the mean latency.
     assert!(
-        degraded.avg_tuple_processing_ms > healthy.avg_tuple_processing_ms * 1.5,
+        degraded.avg_tuple_processing_ms > healthy.avg_tuple_processing_ms,
         "degraded {} ms vs healthy {} ms",
         degraded.avg_tuple_processing_ms,
         healthy.avg_tuple_processing_ms
