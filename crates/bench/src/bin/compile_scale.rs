@@ -1,11 +1,9 @@
 //! Compile-path scaling: how the `RobustCompiler`'s WRP/ERP search behaves
-//! as the parameter space grows in dimensionality and grid resolution, and
-//! what the frontier-parallel worker pool buys.
+//! as the parameter space grows in dimensionality and grid resolution.
 //!
 //! For each (dims, steps) configuration over Q2 (10-way join) the binary runs
-//! WRP and ERP both sequentially and with a worker pool, asserts the two
-//! produce **identical** robust logical solutions, and records optimizer
-//! calls, wall time, plan count, and the geometric claimed coverage (computed
+//! WRP and ERP once each and records optimizer calls, wall time, plan count,
+//! and the geometric claimed coverage (computed
 //! from region corners — no full-grid cell enumeration anywhere on this
 //! path: the headline configuration's grid has hundreds of thousands of
 //! cells, which enumeration-based coverage/weights would visit per plan).
@@ -16,23 +14,12 @@
 //! ```
 //!
 //! Emits `BENCH_compile_scale.json` with one record per
-//! (dims, steps, solver, mode).
+//! (dims, steps, solver).
 
 use rld_bench::json::{write_bench_json, BenchMeta, Json};
 use rld_bench::print_table;
 use rld_core::prelude::*;
 use std::time::Instant;
-
-/// Worker-pool width for the parallel runs: one worker per available core,
-/// at least 2 so the parallel merge path is exercised even on one-core CI
-/// machines (where the wall-clock numbers of the two modes will coincide —
-/// the solution-equality assertion is what such machines verify).
-fn parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2)
-}
 
 /// Uncertainty level of every dimension: ±40% intervals, wide enough that
 /// the optimal plan changes across the space and the search must partition.
@@ -45,13 +32,11 @@ struct RunRecord {
     dims: usize,
     steps: usize,
     solver: &'static str,
-    mode: &'static str,
     calls: usize,
     plans: usize,
     wall_ms: f64,
     coverage: f64,
     weight_sum: f64,
-    identical_to_sequential: bool,
 }
 
 fn run_solver(
@@ -59,14 +44,12 @@ fn run_solver(
     dims: usize,
     steps: usize,
     solver: LogicalSolverSpec,
-    parallelism: usize,
 ) -> (LogicalCompilation, f64) {
     let compiler = RobustCompiler::new(query.clone())
         .with_selectivity_dims(dims, UNCERTAINTY)
         .with_grid_steps(steps)
         .with_solver(solver)
-        .with_epsilon(EPSILON)
-        .with_parallelism(parallelism);
+        .with_epsilon(EPSILON);
     let start = Instant::now();
     let compilation = compiler.compile_logical().expect("compile");
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
@@ -78,7 +61,8 @@ fn main() {
     let query = Query::q2_ten_way_join();
 
     // The acceptance configuration is the ≥4-dimension, ≥15-step space; the
-    // smaller points show the scaling trend, the larger ones the parallel win.
+    // smaller points show the scaling trend, the larger ones where WRP's
+    // call count explodes and ERP's early termination pays.
     let sweep: Vec<(usize, usize)> = if quick {
         vec![(2, 15), (3, 15), (4, 15)]
     } else {
@@ -92,38 +76,25 @@ fn main() {
     let mut records: Vec<RunRecord> = Vec::new();
     for &(dims, steps) in &sweep {
         for solver in solvers {
-            let (seq, seq_ms) = run_solver(&query, dims, steps, solver, 1);
-            let (par, par_ms) = run_solver(&query, dims, steps, solver, parallelism());
-            let identical = seq.solution == par.solution;
-            assert!(
-                identical,
-                "{} parallel solution diverged from sequential at dims={dims} steps={steps}",
-                seq.solver
-            );
+            let (compilation, wall_ms) = run_solver(&query, dims, steps, solver);
             // Geometric coverage and §5.2 weights: both derived from region
             // corners via the disjoint box decomposition.
-            let coverage = seq.solution.claimed_coverage(&seq.space);
-            let weight_sum: f64 = seq
+            let coverage = compilation.solution.claimed_coverage(&compilation.space);
+            let weight_sum: f64 = compilation
                 .solution
-                .plan_weights(&seq.space, OccurrenceModel::Normal)
+                .plan_weights(&compilation.space, OccurrenceModel::Normal)
                 .iter()
                 .sum();
-            for (mode, compilation, wall_ms) in
-                [("sequential", &seq, seq_ms), ("parallel", &par, par_ms)]
-            {
-                records.push(RunRecord {
-                    dims,
-                    steps,
-                    solver: compilation.solver,
-                    mode,
-                    calls: compilation.stats.optimizer_calls,
-                    plans: compilation.solution.len(),
-                    wall_ms,
-                    coverage,
-                    weight_sum,
-                    identical_to_sequential: identical,
-                });
-            }
+            records.push(RunRecord {
+                dims,
+                steps,
+                solver: compilation.solver,
+                calls: compilation.stats.optimizer_calls,
+                plans: compilation.solution.len(),
+                wall_ms,
+                coverage,
+                weight_sum,
+            });
         }
     }
 
@@ -134,7 +105,6 @@ fn main() {
                 r.dims.to_string(),
                 r.steps.to_string(),
                 r.solver.to_string(),
-                r.mode.to_string(),
                 r.calls.to_string(),
                 r.plans.to_string(),
                 format!("{:.1}", r.wall_ms),
@@ -144,16 +114,15 @@ fn main() {
         })
         .collect();
     print_table(
-        "compile_scale — WRP/ERP over growing Q2 parameter spaces (sequential vs parallel)",
+        "compile_scale — WRP/ERP over growing Q2 parameter spaces",
         &[
-            "dims", "steps", "solver", "mode", "calls", "plans", "wall ms", "coverage", "weight",
+            "dims", "steps", "solver", "calls", "plans", "wall ms", "coverage", "weight",
         ],
         &rows,
     );
 
     let data = Json::obj([
         ("query", Json::str(query.name.clone())),
-        ("parallelism", Json::uint(parallelism() as u64)),
         ("epsilon", Json::Num(EPSILON)),
         ("uncertainty", Json::uint(UNCERTAINTY as u64)),
         (
@@ -166,16 +135,11 @@ fn main() {
                             ("dims", Json::uint(r.dims as u64)),
                             ("steps", Json::uint(r.steps as u64)),
                             ("solver", Json::str(r.solver)),
-                            ("mode", Json::str(r.mode)),
                             ("optimizer_calls", Json::uint(r.calls as u64)),
                             ("plans", Json::uint(r.plans as u64)),
                             ("wall_ms", Json::Num(r.wall_ms)),
                             ("coverage", Json::Num(r.coverage)),
                             ("weight_sum", Json::Num(r.weight_sum)),
-                            (
-                                "identical_to_sequential",
-                                Json::Bool(r.identical_to_sequential),
-                            ),
                         ])
                     })
                     .collect(),

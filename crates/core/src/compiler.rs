@@ -17,20 +17,19 @@
 //! OccurrenceModel ─────────► plan weights (geometric, cell-free)
 //!          │                        │
 //!          ▼                        ▼
-//! PhysicalSolverSpec + Cluster ──► Deployment (serializable artifact)
+//! PhysicalSolverSpec + Cluster ──► Deployment (plain-data artifact)
 //! ```
 //!
 //! Solvers are selected **by name** (`"ES"`, `"RS"`, `"WRP"`, `"ERP"`;
 //! `"GreedyPhy"`, `"OptPrune"`) so benches and CLIs can sweep them without
-//! `match`ing on concrete types, and WRP/ERP accept a worker-pool width via
-//! [`RobustCompiler::with_parallelism`] (the produced solution is identical
-//! to the sequential one).
+//! `match`ing on concrete types.
 //!
 //! The [`Deployment`] artifact carries everything the runtime and the
 //! analysis tooling need — plans, robust regions, occurrence weights,
-//! placement, and the search statistics of both phases — and is plain
-//! serializable data, so it can be persisted and re-deployed without
-//! re-running the compiler.
+//! placement, and the search statistics of both phases — as plain data, so
+//! it can be re-deployed without re-running the compiler. It has no
+//! serialized form; the bench harness writes the fields it reports by hand
+//! (`rld_bench::json`).
 
 use rld_common::{Query, Result, RldError, StatisticEstimate, UncertaintyLevel};
 use rld_engine::{HybridStrategy, RldStrategy};
@@ -226,7 +225,7 @@ impl SolverStats {
     }
 }
 
-/// The serializable artifact of a full compile: plans, robust regions,
+/// The plain-data artifact of a full compile: plans, robust regions,
 /// occurrence weights, placement and search statistics. Everything the
 /// runtime ([`Deployment::deploy`] / [`Deployment::deploy_hybrid`]) and the
 /// analysis tooling consume; nothing has to be recomputed to use it.
@@ -324,7 +323,6 @@ pub struct RobustCompiler {
     physical_solver: PhysicalSolverSpec,
     occurrence: OccurrenceModel,
     metric: DistanceMetric,
-    parallelism: usize,
     budget: Option<usize>,
     classification_overhead: f64,
 }
@@ -332,7 +330,7 @@ pub struct RobustCompiler {
 impl RobustCompiler {
     /// Create a compiler for a query with the paper's defaults: 2 uncertain
     /// selectivities at U = 2, a 9-step grid, ERP at ε = 0.2, the normal
-    /// occurrence model, OptPrune, sequential search.
+    /// occurrence model, OptPrune.
     pub fn new(query: Query) -> Self {
         let erp = ErpConfig::default();
         Self {
@@ -347,7 +345,6 @@ impl RobustCompiler {
             physical_solver: PhysicalSolverSpec::default(),
             occurrence: OccurrenceModel::default(),
             metric: DistanceMetric::default(),
-            parallelism: 1,
             budget: None,
             classification_overhead: 0.02,
         }
@@ -420,16 +417,8 @@ impl RobustCompiler {
         self
     }
 
-    /// Probe WRP/ERP partitioning frontiers on this many worker threads; the
-    /// produced solution is identical to the sequential one. `0`/`1` mean
-    /// sequential; ES and RS ignore this.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
     /// Cap the number of optimizer calls the logical solver may make
-    /// (Figure 11's budget sweeps). Forces sequential search.
+    /// (Figure 11's budget sweeps).
     pub fn with_budget(mut self, max_calls: usize) -> Self {
         self.budget = Some(max_calls);
         self
@@ -460,7 +449,12 @@ impl RobustCompiler {
     }
 
     /// Run the logical half on an explicit, pre-built space.
+    ///
+    /// Fails with [`RldError::InvalidArgument`] when ε is negative or not
+    /// finite, or when an ERP spec's `confidence_epsilon` lies outside
+    /// (0, 1) or its `area_delta` outside (0, 1].
     pub fn compile_logical_in(&self, space: ParameterSpace) -> Result<LogicalCompilation> {
+        self.validate()?;
         let optimizer = JoinOrderOptimizer::new(self.query.clone());
         let run = |generator: &dyn LogicalPlanGenerator| match self.budget {
             Some(b) => generator.generate_with_budget(b),
@@ -474,8 +468,7 @@ impl RobustCompiler {
             LogicalSolverSpec::Wrp => {
                 run(
                     &WeightedRobustPartitioning::new(&optimizer, &space, self.epsilon)
-                        .with_metric(self.metric)
-                        .with_parallelism(self.parallelism),
+                        .with_metric(self.metric),
                 )?
             }
             LogicalSolverSpec::Erp(cfg) => {
@@ -483,8 +476,7 @@ impl RobustCompiler {
                 cfg.robustness_epsilon = self.epsilon;
                 run(
                     &EarlyTerminatedRobustPartitioning::new(&optimizer, &space, cfg)
-                        .with_metric(self.metric)
-                        .with_parallelism(self.parallelism),
+                        .with_metric(self.metric),
                 )?
             }
         };
@@ -494,6 +486,31 @@ impl RobustCompiler {
             stats,
             solver: self.solver.name(),
         })
+    }
+
+    /// Reject solver parameters the searches would otherwise assert on.
+    fn validate(&self) -> Result<()> {
+        if !(self.epsilon.is_finite() && self.epsilon >= 0.0) {
+            return Err(RldError::InvalidArgument(format!(
+                "robustness epsilon must be finite and >= 0, got {}",
+                self.epsilon
+            )));
+        }
+        if let LogicalSolverSpec::Erp(cfg) = &self.solver {
+            if !(cfg.confidence_epsilon > 0.0 && cfg.confidence_epsilon < 1.0) {
+                return Err(RldError::InvalidArgument(format!(
+                    "ERP confidence epsilon must be in (0, 1), got {}",
+                    cfg.confidence_epsilon
+                )));
+            }
+            if !(cfg.area_delta > 0.0 && cfg.area_delta <= 1.0) {
+                return Err(RldError::InvalidArgument(format!(
+                    "ERP area delta must be in (0, 1], got {}",
+                    cfg.area_delta
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Run the full pipeline against a cluster and produce the deployment
@@ -666,22 +683,39 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compile_matches_sequential() {
-        let q = Query::q2_ten_way_join();
-        let seq = RobustCompiler::new(q.clone())
-            .with_selectivity_dims(3, 2)
-            .with_solver(LogicalSolverSpec::Wrp)
-            .with_epsilon(0.25)
+    fn bad_solver_parameters_are_typed_errors() {
+        let q = Query::q1_stock_monitoring();
+        let invalid = |compiler: RobustCompiler| {
+            matches!(
+                compiler.compile_logical(),
+                Err(RldError::InvalidArgument(_))
+            )
+        };
+        for epsilon in [-0.1, f64::NAN, f64::INFINITY] {
+            assert!(
+                invalid(RobustCompiler::new(q.clone()).with_epsilon(epsilon)),
+                "epsilon {epsilon} accepted"
+            );
+        }
+        let erp = |confidence_epsilon: f64, area_delta: f64| {
+            RobustCompiler::new(q.clone()).with_solver(LogicalSolverSpec::Erp(ErpConfig {
+                confidence_epsilon,
+                area_delta,
+                ..ErpConfig::default()
+            }))
+        };
+        for (confidence, delta) in [(1.5, 0.15), (0.0, 0.15), (f64::NAN, 0.15), (0.25, 0.0)] {
+            assert!(
+                invalid(erp(confidence, delta)),
+                "ERP confidence {confidence} / delta {delta} accepted"
+            );
+        }
+        // Boundary values are valid and still compile.
+        assert!(RobustCompiler::new(q.clone())
+            .with_epsilon(0.0)
             .compile_logical()
-            .unwrap();
-        let par = RobustCompiler::new(q)
-            .with_selectivity_dims(3, 2)
-            .with_solver(LogicalSolverSpec::Wrp)
-            .with_epsilon(0.25)
-            .with_parallelism(4)
-            .compile_logical()
-            .unwrap();
-        assert_eq!(seq.solution, par.solution);
+            .is_ok());
+        assert!(erp(0.25, 1.0).compile_logical().is_ok());
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl RldConfig {
 }
 
 /// The complete output of RLD compile-time optimization — an alias for the
-/// compiler's serializable [`Deployment`] artifact.
+/// compiler's plain-data [`Deployment`] artifact.
 pub type RldSolution = Deployment;
 
 /// The end-to-end RLD optimizer (the "robust plan optimizer" box of Figure 5).

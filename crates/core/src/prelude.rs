@@ -40,7 +40,7 @@ pub use rld_logical::{
 pub use rld_paramspace::{OccurrenceModel, ParameterSpace, Point, Region};
 pub use rld_physical::{
     llf_assign, llf_assign_naive, Cluster, ClusterView, DynPlanner, ExhaustivePhysicalSearch,
-    GreedyPhy, LlfPacker, NaiveGreedyPhy, NaiveOptPrune, OptPrune, PackMemo, PhysicalPlan,
+    GreedyPhy, LlfPacker, NaiveGreedyPhy, NaiveOptPrune, OptPrune, PhysicalPlan,
     PhysicalPlanGenerator, PhysicalSearchStats, PlanLoadProfile, RodPlanner, SupportModel,
 };
 pub use rld_query::{CostModel, JoinOrderOptimizer, LogicalPlan, OptStrategy, Optimizer};

@@ -85,7 +85,6 @@ pub struct EarlyTerminatedRobustPartitioning<'a, O: Optimizer> {
     checker: RobustnessChecker<'a, O>,
     config: ErpConfig,
     metric: DistanceMetric,
-    parallelism: usize,
 }
 
 impl<'a, O: Optimizer> EarlyTerminatedRobustPartitioning<'a, O> {
@@ -95,21 +94,12 @@ impl<'a, O: Optimizer> EarlyTerminatedRobustPartitioning<'a, O> {
             checker: RobustnessChecker::new(optimizer, space, config.robustness_epsilon),
             config,
             metric: DistanceMetric::default(),
-            parallelism: 1,
         }
     }
 
     /// Use a specific distance metric for the weight function.
     pub fn with_metric(mut self, metric: DistanceMetric) -> Self {
         self.metric = metric;
-        self
-    }
-
-    /// Probe each partitioning frontier on `parallelism` worker threads.
-    /// The produced solution is identical to the sequential one (see the
-    /// engine docs in [`crate::wrp`]); `0` and `1` mean sequential.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
         self
     }
 
@@ -124,7 +114,7 @@ impl<'a, O: Optimizer> EarlyTerminatedRobustPartitioning<'a, O> {
     }
 }
 
-impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for EarlyTerminatedRobustPartitioning<'a, O> {
+impl<'a, O: Optimizer> LogicalPlanGenerator for EarlyTerminatedRobustPartitioning<'a, O> {
     fn name(&self) -> &'static str {
         "ERP"
     }
@@ -133,13 +123,7 @@ impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for EarlyTerminatedRobustPart
         let termination = AgingTermination {
             threshold: self.config.aging_threshold(),
         };
-        let out = partition_search(
-            &self.checker,
-            Some(termination),
-            None,
-            self.metric,
-            self.parallelism,
-        )?;
+        let out = partition_search(&self.checker, Some(termination), None, self.metric)?;
         Ok((out.solution, out.stats))
     }
 
@@ -155,7 +139,6 @@ impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for EarlyTerminatedRobustPart
             Some(termination),
             Some(max_calls),
             self.metric,
-            self.parallelism,
         )?;
         Ok((out.solution, out.stats))
     }
@@ -272,24 +255,6 @@ mod tests {
             .unwrap();
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.optimizer_calls, b.1.optimizer_calls);
-    }
-
-    #[test]
-    fn parallel_erp_matches_sequential_solution() {
-        for u in [2u32, 3] {
-            let (q, space) = setup(9, u);
-            let opt_seq = JoinOrderOptimizer::new(q.clone());
-            let opt_par = JoinOrderOptimizer::new(q.clone());
-            let cfg = ErpConfig::with_epsilon(0.2);
-            let seq = EarlyTerminatedRobustPartitioning::new(&opt_seq, &space, cfg);
-            let par =
-                EarlyTerminatedRobustPartitioning::new(&opt_par, &space, cfg).with_parallelism(4);
-            let (sol_seq, stats_seq) = seq.generate().unwrap();
-            let (sol_par, stats_par) = par.generate().unwrap();
-            assert_eq!(sol_seq, sol_par, "parallel ERP diverged at U={u}");
-            assert_eq!(stats_seq.regions_examined, stats_par.regions_examined);
-            assert_eq!(stats_seq.distinct_plans, stats_par.distinct_plans);
-        }
     }
 
     #[test]

@@ -149,10 +149,8 @@ impl RobustLogicalSolution {
     /// regions (order-sensitive, so it is deterministic for a deterministic
     /// solver run).
     ///
-    /// Downstream consumers that re-solve physical placement across repeated
-    /// WRP/ERP frontier evaluations — GreedyPhy's pack memo, the
-    /// `SolverStats` carried on every deployment — use this to detect an
-    /// unchanged plan set without deep comparison.
+    /// The `SolverStats` carried on every deployment record it, so a changed
+    /// plan set shows across runs without deep comparison.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |v: u64| {

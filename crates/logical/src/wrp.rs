@@ -8,23 +8,10 @@
 //! ERP it has no early-termination rule, so it keeps refining until every
 //! sub-space is robust — the behaviour whose cost explosion motivates ERP.
 //!
-//! ## Parallel search
-//!
-//! The sub-spaces sitting in the work queue at any moment are independent:
-//! probing one never reads another's result (the solution is only *written*,
-//! and the shared optimum cache is a pure memo of a deterministic function).
-//! The engine therefore processes the queue one **frontier** (BFS level) at a
-//! time: all regions of the frontier are evaluated concurrently on a
-//! [`std::thread::scope`] worker pool, then the results are **merged
-//! sequentially in frontier order** — the exact order the sequential FIFO
-//! queue would have processed them. Discovery bookkeeping (ERP's aging
-//! counter), termination checks and solution insertion all happen at merge
-//! time, so the produced solution is bit-identical to the sequential run of
-//! the same configuration; parallelism only changes wall-clock time (and may
-//! make extra *speculative* optimizer calls for frontier regions that a
-//! mid-frontier termination would have skipped). Explicit optimizer-call
-//! budgets force the sequential path so the call accounting that budget
-//! semantics depend on stays exact.
+//! Sub-spaces are probed in FIFO order: the full space first, then the
+//! children of each split in the order the split produced them. The optimizer
+//! calls, the aging counter and the solution therefore depend only on the
+//! configuration, never on timing.
 
 use crate::robustness::RobustnessChecker;
 use crate::solution::RobustLogicalSolution;
@@ -33,8 +20,7 @@ use crate::LogicalPlanGenerator;
 use rld_common::Result;
 use rld_paramspace::{DistanceMetric, GridPoint, ParameterSpace, Region, WeightMap};
 use rld_query::{LogicalPlan, Optimizer};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Termination rule for the shared partitioning engine.
@@ -50,9 +36,7 @@ pub(crate) struct PartitionOutcome {
     pub stats: SearchStats,
 }
 
-/// Everything the merge step needs to know about one probed region. Produced
-/// (possibly concurrently) by [`evaluate_region`]; consumed strictly in
-/// frontier order.
+/// Everything the search loop needs to know about one probed region.
 struct RegionEval {
     robust: bool,
     opt_lo: LogicalPlan,
@@ -64,8 +48,7 @@ struct RegionEval {
 }
 
 /// Probe one region: corner optima, the corner-bound robustness verdict, and
-/// — when not robust — the weight-driven split. Pure with respect to the
-/// shared solution: all solution updates are deferred to the merge.
+/// — when not robust — the weight-driven split.
 fn evaluate_region<O: Optimizer>(
     checker: &RobustnessChecker<'_, O>,
     metric: DistanceMetric,
@@ -102,135 +85,67 @@ fn evaluate_region<O: Optimizer>(
     })
 }
 
-/// Evaluate a whole frontier, fanning the regions out over `parallelism`
-/// scoped worker threads (work-stealing via an atomic index so uneven region
-/// costs balance). Results come back indexed by frontier position, which is
-/// the only order the merge ever reads them in.
-fn evaluate_frontier<O: Optimizer + Sync>(
-    checker: &RobustnessChecker<'_, O>,
-    metric: DistanceMetric,
-    frontier: &[Region],
-    parallelism: usize,
-) -> Vec<Result<RegionEval>> {
-    let workers = parallelism.min(frontier.len());
-    if workers <= 1 {
-        return frontier
-            .iter()
-            .map(|r| evaluate_region(checker, metric, r))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<RegionEval>>>> =
-        frontier.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= frontier.len() {
-                    break;
-                }
-                let eval = evaluate_region(checker, metric, &frontier[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(eval);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every frontier slot evaluated")
-        })
-        .collect()
-}
-
 /// Shared partitioning engine used by both WRP (no aging termination) and
-/// ERP (aging termination per Theorem 1). `parallelism` > 1 probes each
-/// frontier on that many worker threads; the merged solution is identical to
-/// the sequential one (see the module docs). A `max_calls` budget forces
-/// sequential evaluation so its call accounting stays exact.
-pub(crate) fn partition_search<O: Optimizer + Sync>(
+/// ERP (aging termination per Theorem 1). The budget and aging checks run
+/// before every region, so they gate every optimizer call exactly.
+pub(crate) fn partition_search<O: Optimizer>(
     checker: &RobustnessChecker<'_, O>,
     termination: Option<AgingTermination>,
     max_calls: Option<usize>,
     metric: DistanceMetric,
-    parallelism: usize,
 ) -> Result<PartitionOutcome> {
     // rld-allow(D2): compile-time solver wall-ms, reported in SolveStats only — never a tuple result
     let start = Instant::now();
     let space = checker.space();
     let calls_before = checker.optimizer_calls();
     let mut solution = RobustLogicalSolution::new();
-    let mut frontier: Vec<Region> = vec![Region::full(space)];
-    let parallelism = if max_calls.is_some() {
-        1
-    } else {
-        parallelism.max(1)
-    };
+    let mut queue: VecDeque<Region> = VecDeque::from([Region::full(space)]);
 
     let mut aging_counter = 0usize;
     let mut partitions = 0usize;
     let mut examined = 0usize;
     let mut terminated_early = false;
 
-    'levels: while !frontier.is_empty() {
-        // Parallel mode probes the whole frontier eagerly; sequential mode
-        // stays lazy so the budget/aging checks below gate every single
-        // optimizer call exactly as the original FIFO loop did.
-        let mut evals: Vec<Option<Result<RegionEval>>> = if parallelism > 1 {
-            evaluate_frontier(checker, metric, &frontier, parallelism)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            frontier.iter().map(|_| None).collect()
-        };
-        let mut next_frontier = Vec::new();
-        for (region, slot) in frontier.iter().zip(evals.iter_mut()) {
-            if let Some(budget) = max_calls {
-                if checker.optimizer_calls() - calls_before >= budget {
-                    terminated_early = true;
-                    break 'levels;
-                }
-            }
-            if let Some(term) = termination {
-                if aging_counter > term.threshold {
-                    terminated_early = true;
-                    break 'levels;
-                }
-            }
-            examined += 1;
-            let eval = match slot.take() {
-                Some(eval) => eval?,
-                None => evaluate_region(checker, metric, region)?,
-            };
-
-            let mut discovered = false;
-            if eval.robust {
-                discovered |= solution.add(eval.opt_lo.clone(), region.clone());
-                if eval.opt_hi != eval.opt_lo {
-                    // The top-corner optimum is within ε of opt_lo here, but it is
-                    // still a distinct plan worth remembering for its own cell.
-                    discovered |= solution.add(eval.opt_hi, single_cell(&region.pnt_hi()));
-                }
-            } else {
-                // Record what we learned at the corners even when the sub-space
-                // itself is not yet robust.
-                discovered |= solution.add(eval.opt_lo, single_cell(&region.pnt_lo()));
-                discovered |= solution.add(eval.opt_hi, single_cell(&region.pnt_hi()));
-                if eval.partitioned {
-                    partitions += 1;
-                }
-                next_frontier.extend(eval.children);
-            }
-
-            if discovered {
-                aging_counter = 0;
-            } else {
-                aging_counter += 1;
+    while let Some(region) = queue.pop_front() {
+        if let Some(budget) = max_calls {
+            if checker.optimizer_calls() - calls_before >= budget {
+                terminated_early = true;
+                break;
             }
         }
-        frontier = next_frontier;
+        if let Some(term) = termination {
+            if aging_counter > term.threshold {
+                terminated_early = true;
+                break;
+            }
+        }
+        examined += 1;
+        let eval = evaluate_region(checker, metric, &region)?;
+
+        let mut discovered = false;
+        if eval.robust {
+            discovered |= solution.add(eval.opt_lo.clone(), region.clone());
+            if eval.opt_hi != eval.opt_lo {
+                // The top-corner optimum is within ε of opt_lo here, but it is
+                // still a distinct plan worth remembering for its own cell.
+                discovered |= solution.add(eval.opt_hi, single_cell(&region.pnt_hi()));
+            }
+        } else {
+            // Record what we learned at the corners even when the sub-space
+            // itself is not yet robust.
+            discovered |= solution.add(eval.opt_lo, single_cell(&region.pnt_lo()));
+            discovered |= solution.add(eval.opt_hi, single_cell(&region.pnt_hi()));
+            if eval.partitioned {
+                partitions += 1;
+            }
+            queue.extend(eval.children);
+        }
+
+        if discovered {
+            aging_counter = 0;
+        } else {
+            aging_counter += 1;
+        }
     }
 
     let stats = SearchStats {
@@ -253,7 +168,6 @@ fn single_cell(p: &GridPoint) -> Region {
 pub struct WeightedRobustPartitioning<'a, O: Optimizer> {
     checker: RobustnessChecker<'a, O>,
     metric: DistanceMetric,
-    parallelism: usize,
 }
 
 impl<'a, O: Optimizer> WeightedRobustPartitioning<'a, O> {
@@ -262,7 +176,6 @@ impl<'a, O: Optimizer> WeightedRobustPartitioning<'a, O> {
         Self {
             checker: RobustnessChecker::new(optimizer, space, epsilon),
             metric: DistanceMetric::default(),
-            parallelism: 1,
         }
     }
 
@@ -272,27 +185,19 @@ impl<'a, O: Optimizer> WeightedRobustPartitioning<'a, O> {
         self
     }
 
-    /// Probe each partitioning frontier on `parallelism` worker threads.
-    /// The produced solution is identical to the sequential one; wall-clock
-    /// time drops on multi-dimensional spaces. `0` and `1` mean sequential.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
     /// Access the underlying robustness checker.
     pub fn checker(&self) -> &RobustnessChecker<'a, O> {
         &self.checker
     }
 }
 
-impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for WeightedRobustPartitioning<'a, O> {
+impl<'a, O: Optimizer> LogicalPlanGenerator for WeightedRobustPartitioning<'a, O> {
     fn name(&self) -> &'static str {
         "WRP"
     }
 
     fn generate(&self) -> Result<(RobustLogicalSolution, SearchStats)> {
-        let out = partition_search(&self.checker, None, None, self.metric, self.parallelism)?;
+        let out = partition_search(&self.checker, None, None, self.metric)?;
         Ok((out.solution, out.stats))
     }
 
@@ -300,13 +205,7 @@ impl<'a, O: Optimizer + Sync> LogicalPlanGenerator for WeightedRobustPartitionin
         &self,
         max_calls: usize,
     ) -> Result<(RobustLogicalSolution, SearchStats)> {
-        let out = partition_search(
-            &self.checker,
-            None,
-            Some(max_calls),
-            self.metric,
-            self.parallelism,
-        )?;
+        let out = partition_search(&self.checker, None, Some(max_calls), self.metric)?;
         Ok((out.solution, out.stats))
     }
 }
@@ -377,36 +276,6 @@ mod tests {
         let opt = JoinOrderOptimizer::new(q);
         let wrp = WeightedRobustPartitioning::new(&opt, &space, 0.05);
         let (_, stats) = wrp.generate_with_budget(4).unwrap();
-        assert!(stats.optimizer_calls <= 5);
-    }
-
-    #[test]
-    fn parallel_solution_is_identical_to_sequential() {
-        for (steps, u, epsilon) in [(9, 3, 0.2), (9, 3, 0.05), (7, 2, 0.1)] {
-            let (q, space) = setup(steps, u);
-            let opt_seq = JoinOrderOptimizer::new(q.clone());
-            let opt_par = JoinOrderOptimizer::new(q.clone());
-            let seq = WeightedRobustPartitioning::new(&opt_seq, &space, epsilon);
-            let par =
-                WeightedRobustPartitioning::new(&opt_par, &space, epsilon).with_parallelism(4);
-            let (sol_seq, stats_seq) = seq.generate().unwrap();
-            let (sol_par, stats_par) = par.generate().unwrap();
-            assert_eq!(
-                sol_seq, sol_par,
-                "parallel WRP diverged at steps={steps} u={u} eps={epsilon}"
-            );
-            assert_eq!(stats_seq.regions_examined, stats_par.regions_examined);
-            assert_eq!(stats_seq.partitions, stats_par.partitions);
-        }
-    }
-
-    #[test]
-    fn budgeted_generation_is_sequential_even_with_parallelism() {
-        let (q, space) = setup(9, 3);
-        let opt = JoinOrderOptimizer::new(q);
-        let wrp = WeightedRobustPartitioning::new(&opt, &space, 0.05).with_parallelism(8);
-        let (_, stats) = wrp.generate_with_budget(4).unwrap();
-        // Exact budget semantics are preserved: no speculative overshoot.
         assert!(stats.optimizer_calls <= 5);
     }
 }

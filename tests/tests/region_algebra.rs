@@ -1,7 +1,7 @@
-//! Property tests for the geometric region algebra and the parallel
-//! partitioning engine: the corner-based (cell-free) computations must agree
-//! with cell-enumeration ground truth on random region sets, and the
-//! frontier-parallel WRP/ERP must reproduce the sequential solution exactly.
+//! Property tests for the geometric region algebra and the partitioning
+//! engine: the corner-based (cell-free) computations must agree with
+//! cell-enumeration ground truth on random region sets, and ERP must be WRP
+//! stopped early.
 
 use proptest::prelude::*;
 use rld_core::paramspace::{GridPoint, RegionSet};
@@ -138,57 +138,40 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The frontier-parallel WRP returns a solution identical to the
-    /// sequential run, for random queries and robustness thresholds.
+    /// ERP is WRP stopped early: both run the same FIFO partitioning search
+    /// and ERP only adds the aging-counter stop, so its solution is an
+    /// entry-wise prefix of WRP's (same plans in the same order, each entry's
+    /// regions a prefix of WRP's) and it never spends more calls or regions.
     #[test]
-    fn parallel_wrp_equals_sequential(
+    fn erp_is_wrp_stopped_early(
         query_seed in 0u64..500,
         n_ops in 4usize..7,
-        eps_idx in 0usize..3,
+        eps_idx in 0usize..4,
     ) {
-        let epsilon = [0.05, 0.15, 0.3][eps_idx];
+        let epsilon = [0.05, 0.1, 0.15, 0.3][eps_idx];
         let query = Query::n_way_join(n_ops, query_seed);
-        let compile = |parallelism: usize| {
-            RobustCompiler::new(query.clone())
-                .with_selectivity_dims(2, 3)
-                .with_grid_steps(7)
-                .with_solver(LogicalSolverSpec::Wrp)
-                .with_epsilon(epsilon)
-                .with_parallelism(parallelism)
-                .compile_logical()
-                .unwrap()
-        };
-        let seq = compile(1);
-        let par = compile(4);
-        prop_assert_eq!(&seq.solution, &par.solution);
-        prop_assert_eq!(seq.stats.regions_examined, par.stats.regions_examined);
-        prop_assert_eq!(seq.stats.partitions, par.stats.partitions);
-    }
-
-    /// Same determinism property for ERP, whose aging counter additionally
-    /// depends on the merge order being exactly the sequential one.
-    #[test]
-    fn parallel_erp_equals_sequential(
-        query_seed in 0u64..500,
-        n_ops in 4usize..7,
-    ) {
-        let query = Query::n_way_join(n_ops, query_seed);
-        let compile = |parallelism: usize| {
+        let compile = |solver: LogicalSolverSpec| {
             RobustCompiler::new(query.clone())
                 .with_selectivity_dims(2, 3)
                 .with_grid_steps(9)
-                .with_solver(LogicalSolverSpec::Erp(ErpConfig::default()))
-                .with_epsilon(0.1)
-                .with_parallelism(parallelism)
+                .with_solver(solver)
+                .with_epsilon(epsilon)
                 .compile_logical()
                 .unwrap()
         };
-        let seq = compile(1);
-        let par = compile(3);
-        prop_assert_eq!(&seq.solution, &par.solution);
-        prop_assert_eq!(seq.stats.distinct_plans, par.stats.distinct_plans);
+        let wrp = compile(LogicalSolverSpec::Wrp);
+        let erp = compile(LogicalSolverSpec::Erp(ErpConfig::default()));
+        let (wrp_entries, erp_entries) = (wrp.solution.entries(), erp.solution.entries());
+        prop_assert!(erp_entries.len() <= wrp_entries.len());
+        for (e, w) in erp_entries.iter().zip(wrp_entries) {
+            prop_assert_eq!(&e.plan, &w.plan);
+            prop_assert!(e.regions.len() <= w.regions.len());
+            prop_assert_eq!(&e.regions[..], &w.regions[..e.regions.len()]);
+        }
+        prop_assert!(erp.stats.optimizer_calls <= wrp.stats.optimizer_calls);
+        prop_assert!(erp.stats.regions_examined <= wrp.stats.regions_examined);
     }
 }
 
@@ -212,4 +195,62 @@ fn solution_coverage_matches_brute_force() {
     }
     let brute = covered as f64 / space.total_cells() as f64;
     assert!((deployment.claimed_coverage - brute).abs() < 1e-12);
+}
+
+/// Golden counters for the sequential WRP/ERP search on Q2 (U = 4, 15 grid
+/// steps, ε = 0.1): optimizer calls, plans, regions examined, partitions,
+/// early termination and the solution fingerprint. Any change to the FIFO
+/// visiting order, the optimum memo or the aging rule shows up here. (WRP at
+/// four dimensions, 860 calls, is left to the `compile_scale` sweep.)
+#[test]
+fn partition_search_counters_are_pinned() {
+    let erp = LogicalSolverSpec::Erp(ErpConfig::default());
+    let golden = [
+        (
+            2,
+            LogicalSolverSpec::Wrp,
+            38,
+            11,
+            31,
+            8,
+            false,
+            0x705d_1f85_3e8d_e5af,
+        ),
+        (2, erp, 38, 11, 31, 8, false, 0x705d_1f85_3e8d_e5af),
+        (
+            3,
+            LogicalSolverSpec::Wrp,
+            159,
+            25,
+            111,
+            21,
+            false,
+            0xa0fb_f640_f4c5_720b,
+        ),
+        (3, erp, 55, 10, 36, 9, true, 0x8806_17b0_ab88_0132),
+        (4, erp, 101, 20, 62, 16, true, 0x4542_e62f_33a6_d0fe),
+    ];
+    for (dims, solver, calls, plans, examined, partitions, early, fingerprint) in golden {
+        let out = RobustCompiler::new(Query::q2_ten_way_join())
+            .with_selectivity_dims(dims, 4)
+            .with_grid_steps(15)
+            .with_solver(solver)
+            .with_epsilon(0.1)
+            .compile_logical()
+            .unwrap();
+        let got = (
+            out.stats.optimizer_calls,
+            out.solution.len(),
+            out.stats.regions_examined,
+            out.stats.partitions,
+            out.stats.terminated_early,
+            out.solution.fingerprint(),
+        );
+        assert_eq!(
+            got,
+            (calls, plans, examined, partitions, early, fingerprint),
+            "{} at {dims} dims",
+            out.solver
+        );
+    }
 }
