@@ -22,16 +22,13 @@ fn bench_weight_assignment(c: &mut Criterion) {
     let region = PsRegion::full(&space);
     c.bench_function("weight_assignment_17x17", |b| {
         b.iter(|| {
-            let cost = |g: &rld_core::paramspace::GridPoint| {
-                cm.plan_cost(&plan, &space.snapshot_at(g)).unwrap()
+            let mut stats = space.snapshot_at(&region.pnt_lo());
+            let costs = |g: &rld_core::paramspace::GridPoint| {
+                space.move_snapshot_to(&mut stats, g);
+                let cost = cm.plan_cost(&plan, &stats)?;
+                Ok([cost, cost])
             };
-            black_box(WeightMap::assign(
-                &space,
-                &region,
-                cost,
-                cost,
-                DistanceMetric::Manhattan,
-            ))
+            black_box(WeightMap::assign(&space, &region, costs, DistanceMetric::Manhattan).unwrap())
         })
     });
 }

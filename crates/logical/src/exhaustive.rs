@@ -50,6 +50,7 @@ impl<'a, O: Optimizer> ExhaustiveSearch<'a, O> {
             distinct_plans: solution.len(),
             regions_examined: examined,
             partitions: 0,
+            cost_evaluations: 0,
             terminated_early: truncated,
             elapsed_micros: start.elapsed().as_micros() as u64,
         };

@@ -94,6 +94,7 @@ impl<'a, O: Optimizer> RandomSearch<'a, O> {
             distinct_plans: solution.len(),
             regions_examined: examined,
             partitions: 0,
+            cost_evaluations: 0,
             terminated_early,
             elapsed_micros: start.elapsed().as_micros() as u64,
         };

@@ -70,6 +70,12 @@ impl<'a, O: Optimizer> RobustnessChecker<'a, O> {
         self.space
     }
 
+    /// The black-box optimizer, for callers that cost plans on their own
+    /// snapshots.
+    pub fn optimizer(&self) -> &'a O {
+        self.optimizer
+    }
+
     /// Number of optimizer calls made through this checker so far
     /// (cache hits are free).
     pub fn optimizer_calls(&self) -> usize {

@@ -16,6 +16,10 @@ pub struct SearchStats {
     pub regions_examined: usize,
     /// Number of partitioning steps performed (0 for ES / RS).
     pub partitions: usize,
+    /// Plan-cost evaluations made by §4.2 weight assignment (0 for ES / RS):
+    /// two (one per corner plan) per weighted cell on exactly weighted
+    /// regions, plus two per off-lattice neighbour on sub-sampled ones.
+    pub cost_evaluations: usize,
     /// Whether the search terminated early via the aging counter (ERP) or a
     /// call budget rather than by exhausting its work list.
     pub terminated_early: bool,
@@ -34,11 +38,12 @@ impl fmt::Display for SearchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "calls={} plans={} regions={} partitions={} early={} elapsed={:.2}ms",
+            "calls={} plans={} regions={} partitions={} cost_evals={} early={} elapsed={:.2}ms",
             self.optimizer_calls,
             self.distinct_plans,
             self.regions_examined,
             self.partitions,
+            self.cost_evaluations,
             self.terminated_early,
             self.elapsed_ms()
         )
@@ -64,6 +69,7 @@ mod tests {
             distinct_plans: 3,
             regions_examined: 7,
             partitions: 2,
+            cost_evaluations: 40,
             terminated_early: true,
             elapsed_micros: 2500,
         };
@@ -71,6 +77,7 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("calls=12"));
         assert!(text.contains("plans=3"));
+        assert!(text.contains("cost_evals=40"));
         assert!(text.contains("early=true"));
     }
 }

@@ -45,6 +45,8 @@ struct RegionEval {
     children: Vec<Region>,
     /// Whether a partitioning step was performed.
     partitioned: bool,
+    /// Plan-cost evaluations the weight assignment made.
+    cost_evaluations: usize,
 }
 
 /// Probe one region: corner optima, the corner-bound robustness verdict, and
@@ -60,11 +62,21 @@ fn evaluate_region<O: Optimizer>(
     let robust = checker.is_robust_in_region(&opt_lo, region)?;
     let mut children = Vec::new();
     let mut partitioned = false;
+    let mut cost_evaluations = 0;
     if !robust && !region.is_single_cell() {
         partitioned = true;
-        let cost_lo = |g: &GridPoint| checker.plan_cost_at(&opt_lo, g).unwrap_or(f64::INFINITY);
-        let cost_hi = |g: &GridPoint| checker.plan_cost_at(&opt_hi, g).unwrap_or(f64::INFINITY);
-        let weights = WeightMap::assign(space, region, cost_lo, cost_hi, metric);
+        // Cost both corner plans on one snapshot, moved from point to point.
+        let optimizer = checker.optimizer();
+        let mut snapshot = space.snapshot_at(&region.pnt_lo());
+        let costs = |g: &GridPoint| {
+            space.move_snapshot_to(&mut snapshot, g);
+            cost_evaluations += 2;
+            Ok([
+                optimizer.plan_cost(&opt_lo, &snapshot)?,
+                optimizer.plan_cost(&opt_hi, &snapshot)?,
+            ])
+        };
+        let weights = WeightMap::assign(space, region, costs, metric)?;
         let partition_point = weights
             .max_weight_interior_point(region)
             .unwrap_or_else(|| region.centre());
@@ -82,6 +94,7 @@ fn evaluate_region<O: Optimizer>(
         opt_hi,
         children,
         partitioned,
+        cost_evaluations,
     })
 }
 
@@ -104,6 +117,7 @@ pub(crate) fn partition_search<O: Optimizer>(
     let mut aging_counter = 0usize;
     let mut partitions = 0usize;
     let mut examined = 0usize;
+    let mut cost_evaluations = 0usize;
     let mut terminated_early = false;
 
     while let Some(region) = queue.pop_front() {
@@ -121,6 +135,7 @@ pub(crate) fn partition_search<O: Optimizer>(
         }
         examined += 1;
         let eval = evaluate_region(checker, metric, &region)?;
+        cost_evaluations += eval.cost_evaluations;
 
         let mut discovered = false;
         if eval.robust {
@@ -153,6 +168,7 @@ pub(crate) fn partition_search<O: Optimizer>(
         distinct_plans: solution.len(),
         regions_examined: examined,
         partitions,
+        cost_evaluations,
         terminated_early,
         elapsed_micros: start.elapsed().as_micros() as u64,
     };
@@ -215,7 +231,7 @@ mod tests {
     use super::*;
     use crate::evaluator::CoverageEvaluator;
     use crate::exhaustive::ExhaustiveSearch;
-    use rld_common::{Query, UncertaintyLevel};
+    use rld_common::{Query, RldError, StatsSnapshot, UncertaintyLevel};
     use rld_query::JoinOrderOptimizer;
 
     fn setup(steps: usize, u: u32) -> (Query, ParameterSpace) {
@@ -268,6 +284,46 @@ mod tests {
         let (_, tight_stats) = tight.generate().unwrap();
         let (_, loose_stats) = loose.generate().unwrap();
         assert!(loose_stats.optimizer_calls <= tight_stats.optimizer_calls);
+    }
+
+    /// An optimizer whose `plan_cost` fails at one statistics snapshot.
+    struct FailingAt {
+        inner: JoinOrderOptimizer,
+        bad: StatsSnapshot,
+    }
+
+    impl Optimizer for FailingAt {
+        fn optimize(&self, stats: &StatsSnapshot) -> Result<LogicalPlan> {
+            self.inner.optimize(stats)
+        }
+        fn plan_cost(&self, plan: &LogicalPlan, stats: &StatsSnapshot) -> Result<f64> {
+            if *stats == self.bad {
+                return Err(RldError::Runtime("cost model failure".into()));
+            }
+            self.inner.plan_cost(plan, stats)
+        }
+        fn query(&self) -> &Query {
+            self.inner.query()
+        }
+        fn call_count(&self) -> usize {
+            self.inner.call_count()
+        }
+        fn reset_calls(&self) {
+            self.inner.reset_calls()
+        }
+    }
+
+    #[test]
+    fn weight_cost_errors_fail_the_search() {
+        // [2, 3] is inside the first split's weighted region but never a
+        // corner the search optimizes at: only weight assignment costs it.
+        let (q, space) = setup(9, 3);
+        let opt = FailingAt {
+            inner: JoinOrderOptimizer::new(q),
+            bad: space.snapshot_at(&GridPoint::new(vec![2, 3])),
+        };
+        let wrp = WeightedRobustPartitioning::new(&opt, &space, 0.05);
+        assert!(matches!(wrp.generate(), Err(RldError::Runtime(_))));
     }
 
     #[test]

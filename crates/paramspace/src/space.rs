@@ -321,10 +321,19 @@ impl ParameterSpace {
     /// what the cost model consumes.
     pub fn snapshot_at(&self, grid: &GridPoint) -> StatsSnapshot {
         let mut snap = self.baseline.clone();
+        self.move_snapshot_to(&mut snap, grid);
+        snap
+    }
+
+    /// Overwrite the dimension statistics of `snap` with their values at
+    /// `grid`, leaving every other entry alone. On a snapshot that came from
+    /// [`ParameterSpace::snapshot_at`] this yields exactly
+    /// `snapshot_at(grid)` without cloning the baseline, so a loop that
+    /// costs many grid points can reuse one snapshot.
+    pub fn move_snapshot_to(&self, snap: &mut StatsSnapshot, grid: &GridPoint) {
         for (idx, d) in grid.indices.iter().zip(&self.dims) {
             snap.set(d.key, d.value_at(*idx));
         }
-        snap
     }
 
     /// Expand a real-valued point into a full statistics snapshot.

@@ -47,13 +47,8 @@ fn assemble_shuffled(space: &ParameterSpace, region: &Region, perm: &[usize]) ->
     let mut map = WeightMap::default();
     for &i in perm {
         let strip = &strips[i % strips.len()];
-        map.merge(WeightMap::assign(
-            space,
-            strip,
-            plateau_cost,
-            plateau_cost,
-            DistanceMetric::default(),
-        ));
+        let costs = |g: &GridPoint| Ok([plateau_cost(g); 2]);
+        map.merge(WeightMap::assign(space, strip, costs, DistanceMetric::default()).unwrap());
     }
     map
 }

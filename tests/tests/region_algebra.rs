@@ -4,7 +4,7 @@
 //! stopped early.
 
 use proptest::prelude::*;
-use rld_core::paramspace::{GridPoint, RegionSet};
+use rld_core::paramspace::{GridPoint, RegionSet, WeightMap};
 use rld_core::prelude::*;
 use std::collections::HashSet;
 
@@ -199,9 +199,10 @@ fn solution_coverage_matches_brute_force() {
 
 /// Golden counters for the sequential WRP/ERP search on Q2 (U = 4, 15 grid
 /// steps, ε = 0.1): optimizer calls, plans, regions examined, partitions,
-/// early termination and the solution fingerprint. Any change to the FIFO
-/// visiting order, the optimum memo or the aging rule shows up here. (WRP at
-/// four dimensions, 860 calls, is left to the `compile_scale` sweep.)
+/// the plan-cost evaluations of §4.2 weight assignment, early termination
+/// and the solution fingerprint. Any change to the FIFO visiting order, the
+/// optimum memo, the aging rule or the weight tabulation shows up here. (WRP
+/// at four dimensions, 860 calls, is gated by `compile_scale --check`.)
 #[test]
 fn partition_search_counters_are_pinned() {
     let erp = LogicalSolverSpec::Erp(ErpConfig::default());
@@ -213,10 +214,11 @@ fn partition_search_counters_are_pinned() {
             11,
             31,
             8,
+            2090,
             false,
             0x705d_1f85_3e8d_e5af,
         ),
-        (2, erp, 38, 11, 31, 8, false, 0x705d_1f85_3e8d_e5af),
+        (2, erp, 38, 11, 31, 8, 2090, false, 0x705d_1f85_3e8d_e5af),
         (
             3,
             LogicalSolverSpec::Wrp,
@@ -224,13 +226,16 @@ fn partition_search_counters_are_pinned() {
             25,
             111,
             21,
+            29608,
             false,
             0xa0fb_f640_f4c5_720b,
         ),
-        (3, erp, 55, 10, 36, 9, true, 0x8806_17b0_ab88_0132),
-        (4, erp, 101, 20, 62, 16, true, 0x4542_e62f_33a6_d0fe),
+        (3, erp, 55, 10, 36, 9, 18564, true, 0x8806_17b0_ab88_0132),
+        (4, erp, 101, 20, 62, 16, 191482, true, 0x4542_e62f_33a6_d0fe),
     ];
-    for (dims, solver, calls, plans, examined, partitions, early, fingerprint) in golden {
+    for (dims, solver, calls, plans, examined, partitions, evaluations, early, fingerprint) in
+        golden
+    {
         let out = RobustCompiler::new(Query::q2_ten_way_join())
             .with_selectivity_dims(dims, 4)
             .with_grid_steps(15)
@@ -243,14 +248,42 @@ fn partition_search_counters_are_pinned() {
             out.solution.len(),
             out.stats.regions_examined,
             out.stats.partitions,
+            out.stats.cost_evaluations,
             out.stats.terminated_early,
             out.solution.fingerprint(),
         );
         assert_eq!(
             got,
-            (calls, plans, examined, partitions, early, fingerprint),
+            (
+                calls,
+                plans,
+                examined,
+                partitions,
+                evaluations,
+                early,
+                fingerprint
+            ),
             "{} at {dims} dims",
             out.solver
         );
     }
+}
+
+/// The Q2 set-up compile of the runtime configuration (4 dimensions × 7
+/// steps, U = 5, ERP, ε = 0.1). Its 7⁴-cell space is under
+/// `WeightMap::MAX_EXACT_CELLS`, so every region it partitions is weighted
+/// exactly, at one plan-cost evaluation per corner plan per cell.
+#[test]
+fn runtime_q2_compile_counters_are_pinned() {
+    let out = runtime_rld_config()
+        .compiler(Query::q2_ten_way_join())
+        .compile_logical()
+        .unwrap();
+    assert!(out.space.total_cells() <= WeightMap::MAX_EXACT_CELLS);
+    let got = (
+        out.stats.optimizer_calls,
+        out.stats.cost_evaluations,
+        out.solution.fingerprint(),
+    );
+    assert_eq!(got, (182, 10_558, 974_545_463_634_652_821));
 }
